@@ -3,7 +3,7 @@
 // exponential, sparse matvec, JL sketching, and truncated-Taylor
 // application. These are the constants behind Corollary 1.2's asymptotics.
 //
-// Before handing control to google-benchmark, main() runs three sweeps and
+// Before handing control to google-benchmark, main() runs its sweeps and
 // writes the measurements to BENCH_kernels.json, so the perf trajectory of
 // the kernel layer is machine-readable across PRs:
 //   * the SpMV-vs-SpMM block-size sweep over b in {1, 4, 8, 16, 32} on the
@@ -15,6 +15,9 @@
 //     under forced-scalar dispatch vs the active ISA (simd::ScopedIsa); the
 //     acceptance bar is gather >= 2x over scalar at some width b >= 8
 //     whenever a vector backend is active;
+//   * the Psi-apply sweep -- FactorizedSet::weighted_apply_block vs the
+//     per-constraint dense reference (apply_block + add_scaled per factor)
+//     on a tall sparse set; gated bitwise equal and >= 2x faster;
 //   * the steady-state-allocation guard -- solver iterations on a shared
 //     SolverWorkspace must perform zero heap allocations after warmup
 //     (counted by the replaced global operator new below).
@@ -54,6 +57,7 @@
 #include "rand/rng.hpp"
 #include "simd/simd.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/factorized.hpp"
 #include "sparse/kernel_plan.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
@@ -788,9 +792,85 @@ SimdSweepResult run_simd_sweep(bool smoke, const std::vector<Index>& widths) {
   return result;
 }
 
+// ------------------------------------------------------------------------
+// Psi-apply sweep: FactorizedSet::weighted_apply_block (the two-phase,
+// nnz-proportional apply) vs the per-constraint dense reference it
+// replaced -- sum_i FactorizedPsd::apply_block + Matrix::add_scaled, a
+// dim x b accumulate per constraint -- on a tall, sparse factorized set.
+// Gated bitwise equal; the speed bar catches a return of the dense
+// accumulate (the reference does n x dim x b work, the apply ~nnz x b).
+// ------------------------------------------------------------------------
+
+struct PsiSweepRow {
+  Index block = 0;
+  double two_phase_seconds = 0;  ///< weighted_apply_block
+  double reference_seconds = 0;  ///< per-constraint apply_block + add_scaled
+  double speedup = 0;            ///< reference / two-phase
+  bool bitwise_equal = false;
+};
+
+struct PsiSweepResult {
+  Index dim = 0;
+  Index constraints = 0;
+  Index nnz = 0;
+  std::vector<PsiSweepRow> rows;
+  bool bar_met = true;  ///< bitwise equal and >= 2x at every width
+};
+
+PsiSweepResult run_psi_sweep(bool smoke) {
+  apps::FactorizedOptions gen;
+  gen.m = smoke ? (1 << 12) : (1 << 14);
+  gen.n = smoke ? 64 : 128;
+  gen.rank = 2;
+  gen.nnz_per_column = 8;
+  const core::FactorizedPackingInstance inst = apps::random_factorized(gen);
+  const sparse::FactorizedSet& set = inst.set();
+  const int reps = smoke ? 3 : 5;
+  linalg::Vector x(set.size());
+  rand::Rng fill(31);
+  for (Index i = 0; i < set.size(); ++i) x[i] = 0.1 + fill.uniform();
+
+  PsiSweepResult result;
+  result.dim = set.dim();
+  result.constraints = set.size();
+  result.nnz = set.total_nnz();
+  for (const Index b : {Index{1}, Index{8}, Index{16}}) {
+    linalg::Matrix v(set.dim(), b);
+    for (Index i = 0; i < set.dim(); ++i) {
+      for (Index t = 0; t < b; ++t) v(i, t) = fill.normal();
+    }
+    sparse::FactorizedSet::BlockWorkspace workspace;
+    linalg::Matrix y, want, contribution, scratch;
+    std::vector<Real> partial;
+    const auto reference = [&] {
+      want.reshape(set.dim(), b);
+      want.fill(0);
+      for (Index i = 0; i < set.size(); ++i) {
+        if (x[i] == 0) continue;
+        set[i].apply_block(v, contribution, scratch, partial);
+        want.add_scaled(contribution, x[i]);
+      }
+    };
+    PsiSweepRow row;
+    row.block = b;
+    row.two_phase_seconds = linalg::time_block_kernel(
+        reps, [&] { set.weighted_apply_block(x, v, y, workspace); });
+    row.reference_seconds = linalg::time_block_kernel(reps, reference);
+    row.speedup = row.reference_seconds / row.two_phase_seconds;
+    row.bitwise_equal =
+        std::memcmp(y.data(), want.data(),
+                    static_cast<std::size_t>(set.dim() * b) *
+                        sizeof(Real)) == 0;
+    result.bar_met = result.bar_met && row.bitwise_equal && row.speedup >= 2;
+    result.rows.push_back(row);
+  }
+  return result;
+}
+
 void write_sweep_json(const BlockSweepResult& block,
                       const TransposeSweepResult& transpose,
                       const SimdSweepResult& simd_sweep,
+                      const PsiSweepResult& psi,
                       const bench::SteadyStateAllocReport& alloc_report,
                       bool smoke, const std::string& path) {
   const auto write_rows = [](std::ofstream& out,
@@ -830,7 +910,19 @@ void write_sweep_json(const BlockSweepResult& block,
         << ", \"speedup\": " << row.speedup << "}"
         << (i + 1 < simd_sweep.rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"kernel_plan\": " << transpose.plan_json
+  out << "  ],\n  \"psi_apply\": {\"dim\": " << psi.dim
+      << ", \"constraints\": " << psi.constraints << ", \"nnz\": " << psi.nnz
+      << ", \"rows\": [\n";
+  for (std::size_t i = 0; i < psi.rows.size(); ++i) {
+    const PsiSweepRow& row = psi.rows[i];
+    out << "    {\"block\": " << row.block
+        << ", \"two_phase_seconds\": " << row.two_phase_seconds
+        << ", \"reference_seconds\": " << row.reference_seconds
+        << ", \"speedup\": " << row.speedup << ", \"bitwise_equal\": "
+        << (row.bitwise_equal ? "true" : "false") << "}"
+        << (i + 1 < psi.rows.size() ? "," : "") << "\n";
+  }
+  out << "  ]},\n  \"kernel_plan\": " << transpose.plan_json
       << ",\n  \"kernel_plan_reloaded\": "
       << (transpose.plan_reloaded ? "true" : "false")
       << ",\n  \"kernel_plan_stale_retuned\": "
@@ -860,6 +952,7 @@ int run_sweep(const SweepConfig& config) {
   const TransposeSweepResult transpose =
       run_transpose_sweep(smoke, config.widths, config.plan_in);
   const SimdSweepResult simd_sweep = run_simd_sweep(smoke, config.widths);
+  const PsiSweepResult psi = run_psi_sweep(smoke);
   if (!config.plan_out.empty()) {
     std::ofstream out(config.plan_out);
     out << transpose.plan_json << "\n";
@@ -881,7 +974,7 @@ int run_sweep(const SweepConfig& config) {
                                      /*measured=*/8,
                                      [] { return psdp::bench::alloc_count(); });
 
-  write_sweep_json(block, transpose, simd_sweep, alloc_report, smoke,
+  write_sweep_json(block, transpose, simd_sweep, psi, alloc_report, smoke,
                    "BENCH_kernels.json");
   std::cout << "SpMV-vs-SpMM block sweep (r = 64 sketch rows):\n";
   bool taylor_bar_met = false;
@@ -922,6 +1015,16 @@ int run_sweep(const SweepConfig& config) {
               << row.scalar_seconds * 1e3 << " ms, active "
               << row.active_seconds * 1e3 << " ms, " << row.speedup
               << "x\n";
+  }
+  std::cout << "Psi apply (dim " << psi.dim << ", " << psi.constraints
+            << " constraints, nnz " << psi.nnz
+            << "): two-phase vs per-constraint dense reference:\n";
+  for (const PsiSweepRow& row : psi.rows) {
+    std::cout << "  psi_apply b=" << row.block << ": two-phase "
+              << row.two_phase_seconds * 1e3 << " ms, reference "
+              << row.reference_seconds * 1e3 << " ms, " << row.speedup
+              << "x" << (row.bitwise_equal ? ", bitwise equal" : ", MISMATCH")
+              << "\n";
   }
   std::cout << "transpose kernel plan"
             << (transpose.plan_reloaded ? " (reloaded via --plan-in)" : "")
@@ -966,14 +1069,19 @@ int run_sweep(const SweepConfig& config) {
   std::cout << "[" << (isa_bar_met ? "SIMD OK" : "SIMD MISS")
             << "] non-scalar dispatch on a SIMD-enabled build (smoke/CI "
                "check)\n";
+  std::cout << "[" << (psi.bar_met ? "PSI OK" : "PSI MISS")
+            << "] Psi apply bitwise equal to the per-constraint reference "
+               "and >= 2x faster at every width\n";
   std::cout << "[" << (alloc_bar_met ? "ALLOC OK" : "ALLOC MISS")
             << "] zero steady-state allocations\n";
   std::cout << "wrote BENCH_kernels.json\n";
   // Smoke runs (CI on tiny instances) gate on correctness, the allocation
-  // bar, the float32 certificate bar, and the dispatch check; the perf
-  // bars are enforced on the full default instances.
+  // bar, the float32 certificate bar, the dispatch check, and the Psi-apply
+  // bar (bitwise + a 2x floor far below the measured gap, so a returning
+  // dense accumulate fails CI); the other perf bars are enforced on the
+  // full default instances.
   return worst_dev < 1e-8 && transpose_dev < 1e-8 && alloc_bar_met &&
-                 float_bar_met && isa_bar_met &&
+                 float_bar_met && isa_bar_met && psi.bar_met &&
                  (smoke ||
                   (taylor_bar_met && transpose_bar_met &&
                    transpose.planned_tracks_best && simd_sweep.gather_bar_met))

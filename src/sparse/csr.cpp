@@ -217,8 +217,12 @@ void Csr::build_transpose_index(const TransposePlanOptions& options) {
 }
 
 void Csr::apply_transpose(const Vector& x, Vector& y) const {
-  PSDP_CHECK(x.size() == rows_, "csr apply_transpose: dimension mismatch");
   if (y.size() != cols_) y = Vector(cols_);
+  apply_transpose(x, y.data());
+}
+
+void Csr::apply_transpose(const Vector& x, Real* y) const {
+  PSDP_CHECK(x.size() == rows_, "csr apply_transpose: dimension mismatch");
   if (t_built_) {
     // Transpose-index gather through the dispatch seam (width 1): one pass
     // over the nonzeros, each output reduced serially in row order
@@ -226,13 +230,13 @@ void Csr::apply_transpose(const Vector& x, Vector& y) const {
     const simd::KernelTable& kt = simd::active_kernels();
     par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
       kt.gather_panel(t_offsets_.data(), t_rows_.data(), t_values_.data(),
-                      jb, je, 1, x.data(), y.data());
+                      jb, je, 1, x.data(), y);
     }, /*grain=*/64);
     par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz()));
     par::CostMeter::add_depth(par::reduction_depth(rows_));
     return;
   }
-  y.fill(0);
+  std::fill_n(y, cols_, Real{0});
   // Serial scatter per thread would race; with the moderate sizes used here
   // a row sweep with owned output blocks keeps determinism.
   par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
@@ -288,8 +292,15 @@ void Csr::apply_transpose_block(const Matrix& x, Matrix& y,
 void Csr::apply_transpose_block(const Matrix& x, Matrix& y,
                                 std::vector<Real>& partial,
                                 const KernelPlan* plan) const {
+  y.reshape(cols_, x.cols());
+  apply_transpose_block(x, y.data(), partial, plan);
+}
+
+void Csr::apply_transpose_block(const Matrix& x, Real* y,
+                                std::vector<Real>& partial,
+                                const KernelPlan* plan) const {
   if (!t_built_) {
-    apply_transpose_block_owned(x, y, partial);
+    transpose_owned(x, y, partial);
     return;
   }
   // A caller-provided plan is honored only when its provenance matches the
@@ -303,27 +314,42 @@ void Csr::apply_transpose_block(const Matrix& x, Matrix& y,
   switch (p.choose(x.cols())) {
     case TransposeKernel::kSegmented:
       if (has_segment_index()) {
-        apply_transpose_block_segmented(x, y);
+        transpose_segmented(x, y);
         return;
       }
       // No grid on this matrix: the plain gather is the bit-identical twin.
       [[fallthrough]];
     case TransposeKernel::kGather:
-      apply_transpose_block_indexed(x, y);
+      transpose_indexed(x, y);
       return;
     case TransposeKernel::kScatter:
-      apply_transpose_block_owned(x, y, partial);
+      transpose_owned(x, y, partial);
       return;
   }
 }
 
 void Csr::apply_transpose_block_owned(const Matrix& x, Matrix& y,
                                       std::vector<Real>& partial) const {
+  y.reshape(cols_, x.cols());
+  transpose_owned(x, y.data(), partial);
+}
+
+void Csr::apply_transpose_block_indexed(const Matrix& x, Matrix& y) const {
+  y.reshape(cols_, x.cols());
+  transpose_indexed(x, y.data());
+}
+
+void Csr::apply_transpose_block_segmented(const Matrix& x, Matrix& y) const {
+  y.reshape(cols_, x.cols());
+  transpose_segmented(x, y.data());
+}
+
+void Csr::transpose_owned(const Matrix& x, Real* y,
+                          std::vector<Real>& partial) const {
   PSDP_CHECK(x.rows() == rows_, "csr apply_transpose_block: dimension mismatch");
   const Index b = x.cols();
   PSDP_CHECK(b >= 1,
              "csr apply_transpose_block: panel must have at least one column");
-  y.reshape(cols_, b);
   // Parallel over *row* chunks -- the panels come from factors Q_i whose
   // column count is often tiny, so column ownership would serialize. Each
   // chunk scatters into its own cols_ x b accumulator; the partials are
@@ -339,8 +365,8 @@ void Csr::apply_transpose_block_owned(const Matrix& x, Matrix& y,
                     end, b, x.data(), out);
   };
   if (chunks == 1) {
-    y.fill(0);
-    scatter_rows(0, rows_, y.data());
+    std::fill_n(y, cols_ * b, Real{0});
+    scatter_rows(0, rows_, y);
   } else {
     partial.assign(static_cast<std::size_t>(chunks * cols_ * b), 0);
     const Index chunk_size = (rows_ + chunks - 1) / chunks;
@@ -348,25 +374,23 @@ void Csr::apply_transpose_block_owned(const Matrix& x, Matrix& y,
       scatter_rows(c * chunk_size, std::min(rows_, (c + 1) * chunk_size),
                    partial.data() + c * cols_ * b);
     });
-    y.fill(0);
-    Real* out = y.data();
+    std::fill_n(y, cols_ * b, Real{0});
     for (Index c = 0; c < chunks; ++c) {
       const Real* part = partial.data() + c * cols_ * b;
-      for (Index idx = 0; idx < cols_ * b; ++idx) out[idx] += part[idx];
+      for (Index idx = 0; idx < cols_ * b; ++idx) y[idx] += part[idx];
     }
   }
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
   par::CostMeter::add_depth(par::reduction_depth(rows_));
 }
 
-void Csr::apply_transpose_block_indexed(const Matrix& x, Matrix& y) const {
+void Csr::transpose_indexed(const Matrix& x, Real* y) const {
   PSDP_CHECK(t_built_,
              "csr apply_transpose_block_indexed: call build_transpose_index()");
   PSDP_CHECK(x.rows() == rows_, "csr apply_transpose_block: dimension mismatch");
   const Index b = x.cols();
   PSDP_CHECK(b >= 1,
              "csr apply_transpose_block: panel must have at least one column");
-  y.reshape(cols_, b);
   // Chunk the columns so a chunk carries a few thousand entry updates; the
   // per-column entry spans are contiguous in the index, so each chunk is
   // one streaming pass.
@@ -378,13 +402,13 @@ void Csr::apply_transpose_block_indexed(const Matrix& x, Matrix& y) const {
   const simd::KernelTable& kt = simd::active_kernels();
   par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
     kt.gather_panel(t_offsets_.data(), t_rows_.data(), t_values_.data(), jb,
-                    je, b, x.data(), y.data());
+                    je, b, x.data(), y);
   }, grain);
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
   par::CostMeter::add_depth(par::reduction_depth(rows_));
 }
 
-void Csr::apply_transpose_block_segmented(const Matrix& x, Matrix& y) const {
+void Csr::transpose_segmented(const Matrix& x, Real* y) const {
   PSDP_CHECK(has_segment_index(),
              "csr apply_transpose_block_segmented: no segment grid (see "
              "TransposePlanOptions::segment_rows)");
@@ -403,11 +427,10 @@ void Csr::apply_transpose_block_segmented(const Matrix& x, Matrix& y) const {
       t_window_bytes_ / std::max<Index>(1, t_segment_rows_ * b * 8), 1,
       num_segs);
   if (group >= num_segs) {
-    apply_transpose_block_indexed(x, y);
+    transpose_indexed(x, y);
     return;
   }
-  y.reshape(cols_, b);
-  y.fill(0);
+  std::fill_n(y, cols_ * b, Real{0});
   const Index windows = (num_segs + group - 1) / group;
   // Per-window column grain: a chunk should carry a few thousand entry
   // updates of *this window's* share of the nonzeros.
@@ -422,7 +445,7 @@ void Csr::apply_transpose_block_segmented(const Matrix& x, Matrix& y) const {
     const Index s1 = std::min(num_segs, s0 + group);
     par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
       kt.gather_window(t_seg_starts_.data(), s0, s1, cols_, t_rows_.data(),
-                       t_values_.data(), jb, je, b, x.data(), y.data());
+                       t_values_.data(), jb, je, b, x.data(), y);
     }, grain);
   }
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
@@ -468,13 +491,20 @@ void Csr::apply_transpose_block_f(const MatrixF& x, MatrixF& y,
                                   std::span<const float> values_f,
                                   std::span<const float> t_values_f,
                                   std::vector<float>& partial) const {
+  y.reshape(cols_, x.cols());
+  apply_transpose_block_f(x, y.data(), values_f, t_values_f, partial);
+}
+
+void Csr::apply_transpose_block_f(const MatrixF& x, float* y,
+                                  std::span<const float> values_f,
+                                  std::span<const float> t_values_f,
+                                  std::vector<float>& partial) const {
   PSDP_CHECK(x.rows() == rows_,
              "csr apply_transpose_block_f: dimension mismatch");
   const Index b = x.cols();
   PSDP_CHECK(b >= 1,
              "csr apply_transpose_block_f: panel must have at least one "
              "column");
-  y.reshape(cols_, b);
   const simd::KernelTable& kt = simd::active_kernels();
   if (t_built_) {
     PSDP_CHECK(static_cast<Index>(t_values_f.size()) == nnz(),
@@ -484,14 +514,13 @@ void Csr::apply_transpose_block_f(const MatrixF& x, MatrixF& y,
     const Index grain = std::max<Index>(1, 4096 / avg_work);
     par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
       kt.gather_panel_f(t_offsets_.data(), t_rows_.data(), t_values_f.data(),
-                        jb, je, b, x.data(), y.data());
+                        jb, je, b, x.data(), y);
     }, grain);
   } else {
     PSDP_CHECK(static_cast<Index>(values_f.size()) == nnz(),
                "csr apply_transpose_block_f: float value copy out of date");
-    // Owned-column scatter over row chunks, mirroring
-    // apply_transpose_block_owned (chunk-order combine, deterministic for a
-    // fixed thread count).
+    // Owned-column scatter over row chunks, mirroring transpose_owned
+    // (chunk-order combine, deterministic for a fixed thread count).
     const Index grain = std::max<Index>(1, 256 / b);
     const Index max_chunks = std::max<Index>(1, par::num_threads());
     const Index chunks =
@@ -501,8 +530,8 @@ void Csr::apply_transpose_block_f(const MatrixF& x, MatrixF& y,
                         begin, end, b, x.data(), out);
     };
     if (chunks == 1) {
-      y.fill(0);
-      scatter(0, rows_, y.data());
+      std::fill_n(y, cols_ * b, 0.0f);
+      scatter(0, rows_, y);
     } else {
       partial.assign(static_cast<std::size_t>(chunks * cols_ * b), 0);
       const Index chunk_size = (rows_ + chunks - 1) / chunks;
@@ -510,11 +539,10 @@ void Csr::apply_transpose_block_f(const MatrixF& x, MatrixF& y,
         scatter(c * chunk_size, std::min(rows_, (c + 1) * chunk_size),
                 partial.data() + c * cols_ * b);
       });
-      y.fill(0);
-      float* out = y.data();
+      std::fill_n(y, cols_ * b, 0.0f);
       for (Index c = 0; c < chunks; ++c) {
         const float* part = partial.data() + c * cols_ * b;
-        for (Index idx = 0; idx < cols_ * b; ++idx) out[idx] += part[idx];
+        for (Index idx = 0; idx < cols_ * b; ++idx) y[idx] += part[idx];
       }
     }
   }

@@ -132,6 +132,9 @@ class Csr {
   /// a fixed thread count; both accumulate per output in row order, so the
   /// two paths agree bitwise).
   void apply_transpose(const Vector& x, Vector& y) const;
+  /// apply_transpose into the caller's cols()-long buffer `y` (a slice of
+  /// a larger panel: FactorizedSet's stacked Q_i^T v workspace).
+  void apply_transpose(const Vector& x, Real* y) const;
   /// y = A^T x, allocating the result.
   Vector apply_transpose(const Vector& x) const;
 
@@ -159,6 +162,12 @@ class Csr {
   /// apply_transpose_block under a caller-provided plan (nullptr or empty
   /// = this matrix's own kernel_plan()).
   void apply_transpose_block(const Matrix& x, Matrix& y,
+                             std::vector<Real>& partial,
+                             const KernelPlan* plan) const;
+  /// apply_transpose_block writing the cols() x b result into the caller's
+  /// row-major buffer `y` (a slice of a larger panel -- FactorizedSet's
+  /// stacked Q_i^T V workspace). Same kernels, same bits.
+  void apply_transpose_block(const Matrix& x, Real* y,
                              std::vector<Real>& partial,
                              const KernelPlan* plan) const;
 
@@ -217,6 +226,12 @@ class Csr {
                                std::span<const float> values_f,
                                std::span<const float> t_values_f,
                                std::vector<float>& partial) const;
+  /// apply_transpose_block_f into the caller's cols() x b row-major
+  /// buffer `y` (a slice of a larger panel).
+  void apply_transpose_block_f(const MatrixF& x, float* y,
+                               std::span<const float> values_f,
+                               std::span<const float> t_values_f,
+                               std::vector<float>& partial) const;
 
   /// Scale all values in place (keeps the cached CSC values in sync).
   Csr& scale(Real s);
@@ -231,6 +246,13 @@ class Csr {
   Real trace() const;
 
  private:
+  /// Pointer-output cores of apply_transpose_block_owned / _indexed /
+  /// _segmented: `y` holds cols() x x.cols() row-major entries.
+  void transpose_owned(const Matrix& x, Real* y,
+                       std::vector<Real>& partial) const;
+  void transpose_indexed(const Matrix& x, Real* y) const;
+  void transpose_segmented(const Matrix& x, Real* y) const;
+
   Index rows_ = 0;
   Index cols_ = 0;
   std::vector<Index> offsets_;  ///< rows_+1 entries

@@ -1,10 +1,13 @@
 #include "sparse/factorized.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/eig.hpp"
 #include "linalg/matfunc.hpp"
+#include "par/cost_meter.hpp"
 #include "par/parallel.hpp"
+#include "simd/simd.hpp"
 
 namespace psdp::sparse {
 
@@ -173,15 +176,58 @@ FactorizedSet::FactorizedSet(std::vector<FactorizedPsd> items)
     : items_(std::move(items)) {
   PSDP_CHECK(!items_.empty(), "factorized set must be non-empty");
   dim_ = items_[0].dim();
-  for (const auto& item : items_) {
+  PSDP_CHECK(dim_ < (Index{1} << 32) - kRunGap,
+             "factorized set: dimension exceeds the 32-bit row runs");
+  // Support runs of factor i, ascending: consecutive non-empty rows,
+  // bridging gaps of up to kRunGap empty rows (see RowRun). Counted in a
+  // first pass so runs_ is allocated once, at its exact size -- on
+  // many-factor instances a growing vector would leave its discarded
+  // buffers behind as heap slack.
+  const auto for_each_run = [this](const FactorizedPsd& item,
+                                   const auto& emit) {
+    const auto offsets = item.q().row_offsets();
+    RowRun run{0, 0};
+    for (Index r = 0; r < dim_; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      if (offsets[ur] == offsets[ur + 1]) continue;
+      const auto row = static_cast<std::uint32_t>(r);
+      if (run.end > run.begin && row - run.end > kRunGap) {
+        emit(run);
+        run.begin = row;
+      } else if (run.end == run.begin) {
+        run.begin = row;
+      }
+      run.end = row + 1;
+    }
+    if (run.end > run.begin) emit(run);
+  };
+  col_offsets_.assign(items_.size() + 1, 0);
+  run_offsets_.assign(items_.size() + 1, 0);
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    const FactorizedPsd& item = items_[i];
     PSDP_CHECK(item.dim() == dim_, "factorized set: inconsistent dimensions");
     total_nnz_ += item.nnz();
+    col_offsets_[i + 1] = col_offsets_[i] + item.factor_cols();
+    Index count = 0;
+    for_each_run(item, [&](const RowRun&) { ++count; });
+    run_offsets_[i + 1] = run_offsets_[i] + count;
+  }
+  runs_.reserve(static_cast<std::size_t>(run_offsets_.back()));
+  for (const FactorizedPsd& item : items_) {
+    for_each_run(item, [&](const RowRun& run) { runs_.push_back(run); });
   }
 }
 
 const FactorizedPsd& FactorizedSet::operator[](Index i) const {
   PSDP_CHECK(i >= 0 && i < size(), "factorized set: index out of range");
   return items_[static_cast<std::size_t>(i)];
+}
+
+void FactorizedSet::ensure_transpose_indexes(
+    const TransposePlanOptions& plan_options) {
+  for (FactorizedPsd& item : items_) {
+    item.ensure_transpose_index(plan_options);
+  }
 }
 
 Csr FactorizedSet::weighted_sum(const Vector& x) const {
@@ -218,6 +264,120 @@ Csr FactorizedSet::weighted_sum(const Vector& x) const {
   return Csr::from_triplets(dim_, dim_, std::move(triplets));
 }
 
+namespace {
+
+/// Entry updates one Phase B chunk should carry before the row sweep is
+/// worth a pool dispatch. Smaller sweeps run inline: on the paper-regime
+/// instances (a few tens of thousands of updates per panel) a 2-way split
+/// measured slower than the inline sweep, the wake-ups costing more than
+/// the halved work.
+constexpr Index kPhaseBChunkWork = Index{1} << 16;
+
+/// Rows of one Phase B kernel call: longer support runs are cut into
+/// pieces of this height, which bounds the per-chunk row buffer.
+constexpr Index kPhaseBRowBlock = 64;
+
+}  // namespace
+
+template <typename T, typename Transpose, typename RowValues>
+void FactorizedSet::apply_two_phase(
+    const Vector& x, Index b, T* y, std::vector<T>& stack,
+    std::vector<T>& row_scratch,
+    void (*spmm_rows)(const Index*, const Index*, const T*, Index, Index,
+                      Index, const T*, T*),
+    const Transpose& transpose, const RowValues& row_values) const {
+  Index active_nnz = 0;
+  for (Index i = 0; i < size(); ++i) {
+    if (x[i] != 0) active_nnz += items_[static_cast<std::size_t>(i)].nnz();
+  }
+  // Phase B's row chunking depends only on the shape, never on which
+  // thread runs a chunk; rows are independent, so neither changes a bit.
+  const Index chunks = std::clamp<Index>(
+      ((dim_ + active_nnz) * b + kPhaseBChunkWork - 1) / kPhaseBChunkWork, 1,
+      std::min<Index>(dim_, par::num_threads()));
+  const Index chunk_rows = (dim_ + chunks - 1) / chunks;
+  const Index block_rows = std::min(chunk_rows, kPhaseBRowBlock);
+  const auto scratch_size = static_cast<std::size_t>(chunks * block_rows * b);
+  if (row_scratch.size() < scratch_size) row_scratch.resize(scratch_size);
+
+  // Constraints go through in groups whose stacked T_i fit in dim() rows,
+  // so the workspace never outgrows the output panel. A group holds every
+  // constraint whenever sum_i k_i <= dim() -- the tall-factor regime --
+  // and then the apply is exactly one Phase A and one Phase B region.
+  Index group_end = 0;
+  for (Index group = 0; group < size(); group = group_end) {
+    const Index base = col_offsets_[static_cast<std::size_t>(group)];
+    group_end = group + 1;
+    while (group_end < size() &&
+           col_offsets_[static_cast<std::size_t>(group_end) + 1] - base <=
+               dim_) {
+      ++group_end;
+    }
+    const auto stack_size = static_cast<std::size_t>(
+        (col_offsets_[static_cast<std::size_t>(group_end)] - base) * b);
+    if (stack.size() < stack_size) stack.resize(stack_size);
+
+    // Phase A: T_i = Q_i^T V into factor i's slice of the stacked panel,
+    // through the Csr transpose kernels exactly as a per-factor apply runs
+    // them (same kernels, same plan, same bits).
+    bool any_active = false;
+    for (Index i = group; i < group_end; ++i) {
+      if (x[i] == 0) continue;
+      const auto ui = static_cast<std::size_t>(i);
+      transpose(ui, stack.data() + (col_offsets_[ui] - base) * b);
+      any_active = true;
+    }
+    if (!any_active && group > 0) continue;
+
+    // Phase B: each chunk zeroes its rows once (first group), then adds
+    // x_i (Q_i T_i)(r,:) for every row r of every support run of Q_i it
+    // owns, constraints ascending -- so each row still accumulates its
+    // terms in ascending i, as the per-constraint sum did.
+    const auto sweep = [&](Index c) {
+      const Index row_begin = c * chunk_rows;
+      const Index row_end = std::min(dim_, row_begin + chunk_rows);
+      if (row_begin >= row_end) return;
+      if (group == 0) {
+        std::fill(y + row_begin * b, y + row_end * b, T{0});
+      }
+      T* s = row_scratch.data() + c * block_rows * b;
+      for (Index i = group; i < group_end; ++i) {
+        if (x[i] == 0) continue;
+        const auto ui = static_cast<std::size_t>(i);
+        const Csr& q = items_[ui].q();
+        const T* t_i = stack.data() + (col_offsets_[ui] - base) * b;
+        const T w = static_cast<T>(x[i]);
+        const RowRun* run = std::partition_point(
+            runs_.data() + run_offsets_[ui], runs_.data() + run_offsets_[ui + 1],
+            [&](const RowRun& r) { return Index{r.end} <= row_begin; });
+        const RowRun* runs_end = runs_.data() + run_offsets_[ui + 1];
+        for (; run != runs_end && Index{run->begin} < row_end; ++run) {
+          const Index lo = std::max(Index{run->begin}, row_begin);
+          const Index hi = std::min(Index{run->end}, row_end);
+          for (Index r0 = lo; r0 < hi; r0 += block_rows) {
+            const Index rows = std::min(block_rows, hi - r0);
+            // The kernel addresses its output by row index, so hand it the
+            // offsets from row r0 on: local row j is Q_i's row r0 + j.
+            spmm_rows(q.row_offsets().data() + r0, q.col_indices().data(),
+                      row_values(ui), 0, rows, b, t_i, s);
+            T* yr = y + r0 * b;
+            for (Index e = 0; e < rows * b; ++e) yr[e] += w * s[e];
+          }
+        }
+      }
+    };
+    if (chunks == 1) {
+      sweep(0);
+    } else {
+      par::global_pool().run_batch(chunks, sweep);
+    }
+  }
+  // Phase A's kernels metered themselves; Phase B is the nnz term of the
+  // Q_i T_i rows plus, in the PRAM model, a reduction over <= n terms.
+  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * active_nnz * b));
+  par::CostMeter::add_depth(par::reduction_depth(size()));
+}
+
 void FactorizedSet::weighted_apply_block(const Vector& x, const Matrix& v,
                                          Matrix& y,
                                          BlockWorkspace& workspace) const {
@@ -225,14 +385,14 @@ void FactorizedSet::weighted_apply_block(const Vector& x, const Matrix& v,
   PSDP_CHECK(v.rows() == dim_, "weighted_apply_block: panel dimension mismatch");
   const Index b = v.cols();
   y.reshape(dim_, b);
-  y.fill(0);
-  for (Index i = 0; i < size(); ++i) {
-    if (x[i] == 0) continue;
-    items_[static_cast<std::size_t>(i)].apply_block(
-        v, workspace.contribution, workspace.scratch,
-        workspace.transpose_partial, workspace.plan);
-    y.add_scaled(workspace.contribution, x[i]);
-  }
+  apply_two_phase<Real>(
+      x, b, y.data(), workspace.factor_panel, workspace.row_scratch,
+      simd::active_kernels().spmm_rows,
+      [&](std::size_t i, Real* t) {
+        items_[i].q().apply_transpose_block(v, t, workspace.transpose_partial,
+                                            workspace.plan);
+      },
+      [&](std::size_t i) { return items_[i].q().values().data(); });
 }
 
 void FactorizedSet::ensure_float_values(BlockWorkspace& workspace) const {
@@ -259,20 +419,17 @@ void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
   ensure_float_values(workspace);
   const Index b = v.cols();
   y.reshape(dim_, b);
-  y.fill(0);
-  for (Index i = 0; i < size(); ++i) {
-    if (x[i] == 0) continue;
-    const auto& fv = workspace.float_values[static_cast<std::size_t>(i)];
-    items_[static_cast<std::size_t>(i)].apply_block_f(
-        v, workspace.contribution_f, workspace.scratch_f, fv.values,
-        fv.t_values, workspace.transpose_partial_f);
-    // Weights stay double until the very last multiply: one rounding per
-    // accumulated term, same as the float kernels themselves.
-    const float w = static_cast<float>(x[i]);
-    float* yd = y.data();
-    const float* cd = workspace.contribution_f.data();
-    for (Index e = 0; e < dim_ * b; ++e) yd[e] += w * cd[e];
-  }
+  // Weights stay double until Phase B's multiply: one rounding per
+  // accumulated term, same as the float kernels themselves.
+  apply_two_phase<float>(
+      x, b, y.data(), workspace.factor_panel_f, workspace.row_scratch_f,
+      simd::active_kernels().spmm_rows_f,
+      [&](std::size_t i, float* t) {
+        const auto& fv = workspace.float_values[i];
+        items_[i].q().apply_transpose_block_f(v, t, fv.values, fv.t_values,
+                                              workspace.transpose_partial_f);
+      },
+      [&](std::size_t i) { return workspace.float_values[i].values.data(); });
 }
 
 void FactorizedSet::weighted_apply(const Vector& x, const Vector& v,
@@ -280,13 +437,14 @@ void FactorizedSet::weighted_apply(const Vector& x, const Vector& v,
   PSDP_CHECK(x.size() == size(), "weighted_apply: weight length mismatch");
   PSDP_CHECK(v.size() == dim_, "weighted_apply: vector length mismatch");
   if (y.size() != dim_) y = Vector(dim_);
-  y.fill(0);
-  Vector contribution(dim_);
-  for (Index i = 0; i < size(); ++i) {
-    if (x[i] == 0) continue;
-    items_[static_cast<std::size_t>(i)].apply(v, contribution);
-    y.add_scaled(contribution, x[i]);
-  }
+  // Per-thread, capacity-preserving scratch keeps the allocation-free
+  // signature the Lanczos certificate and the block_size = 1 path call.
+  thread_local std::vector<Real> stack;
+  thread_local std::vector<Real> row_scratch;
+  apply_two_phase<Real>(
+      x, 1, y.data(), stack, row_scratch, simd::active_kernels().spmm_rows,
+      [&](std::size_t i, Real* t) { items_[i].q().apply_transpose(v, t); },
+      [&](std::size_t i) { return items_[i].q().values().data(); });
 }
 
 }  // namespace psdp::sparse

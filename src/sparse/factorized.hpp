@@ -8,6 +8,7 @@
 //   exp(Phi) . A  = ||exp(Phi/2) Q||_F^2    (the bigDotExp identity)
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -117,6 +118,26 @@ class FactorizedPsd {
 
 /// The constraint set {A_i = Q_i Q_i^T}, plus totals used in the cost bounds
 /// (q = total nnz across factors).
+///
+/// The weighted applies (Psi V with Psi = sum_i x_i A_i, never formed) run
+/// in two phases whose cost follows the factor nonzeros, O(nnz b + sum_i
+/// k_i b + dim b) per width-b panel:
+///  * Phase A computes T_i = Q_i^T V (k_i x b) for every constraint with
+///    nonzero weight, through the Csr transpose kernels and KernelPlan, into
+///    its slice of a stacked workspace panel.
+///  * Phase B zeroes each output row once and, for every constraint whose
+///    factor has nonzeros in that row (ascending i), adds x_i (Q_i T_i)(r,:)
+///    -- the rows computed by the same spmm_rows kernel Csr::apply_block
+///    runs, the add the same uncontracted y += w * s as Matrix::add_scaled.
+///    One row-chunked parallel region; inside a chunk each factor's runs of
+///    consecutive non-empty rows go through the kernel in one call.
+/// The stacked panel holds at most max(dim, k_i) rows: when sum_i k_i
+/// exceeds dim() (many short factors), constraints are taken in ascending
+/// groups that fit, one Phase A + Phase B pass each, so the workspace never
+/// outgrows the output panel. Rows outside a factor's support contribute
+/// x_i * 0 to a Y that starts at +0, so skipping them is bitwise identical
+/// (for finite weights) to the per-constraint sum_i apply_block +
+/// add_scaled the tests keep as their reference.
 class FactorizedSet {
  public:
   FactorizedSet() = default;
@@ -128,23 +149,33 @@ class FactorizedSet {
 
   const FactorizedPsd& operator[](Index i) const;
 
-  std::vector<FactorizedPsd>& items() { return items_; }
   const std::vector<FactorizedPsd>& items() const { return items_; }
+
+  /// Build (idempotently) every factor's transpose index under
+  /// `plan_options` (FactorizedPsd::ensure_transpose_index); the sharded
+  /// sets' K > 1 determinism leg. Factor supports are untouched.
+  void ensure_transpose_indexes(const TransposePlanOptions& plan_options);
 
   /// Psi = sum_i x_i A_i as a sparse CSR matrix (union of factor supports).
   /// Entries with weight zero are skipped.
   Csr weighted_sum(const Vector& x) const;
 
-  /// y = (sum_i x_i A_i) v without forming the sum.
+  /// y = (sum_i x_i A_i) v without forming the sum: the two-phase apply at
+  /// width 1 (see the class comment), bitwise equal to sum_i
+  /// FactorizedPsd::apply + Vector::add_scaled in ascending i. Its stacked
+  /// Q_i^T v scratch is per-thread and recycled, so steady-state calls
+  /// allocate nothing.
   void weighted_apply(const Vector& x, const Vector& v, Vector& y) const;
 
-  /// Y = (sum_i x_i A_i) V for a row-major dim() x b panel V, streaming
-  /// each factor once per panel (two SpMMs per constraint). Column t is
-  /// bit-identical to weighted_apply on column t. The workspace panels are
-  /// resized on first use and reusable across calls.
+  /// Scratch of the panel applies below; resized on first use and reusable
+  /// across calls (capacity-preserving, so the steady state allocates
+  /// nothing).
   struct BlockWorkspace {
-    Matrix contribution;  ///< dim x b accumulator for one constraint
-    Matrix scratch;       ///< k_i x b intermediate Q_i^T V
+    /// Phase A's stacked panel: the T_i = Q_i^T V (k_i x b) of one
+    /// constraint group, back to back in constraint order, row-major.
+    std::vector<Real> factor_panel;
+    /// Phase B's per-chunk block of (Q_i T_i) rows.
+    std::vector<Real> row_scratch;
     /// Per-chunk accumulators of the owned-column transpose scatter
     /// (unused by factors with a transpose index); recycled across calls.
     std::vector<Real> transpose_partial;
@@ -154,10 +185,10 @@ class FactorizedSet {
     /// pointer copy, so the zero-allocation steady state is unaffected.
     const KernelPlan* plan = nullptr;
 
-    /// Float twins of the panels above, used only by the mixed-precision
+    /// Float twins of the buffers above, used only by the mixed-precision
     /// sketch mode (BigDotExpOptions::panel_precision).
-    MatrixF contribution_f;  ///< dim x b float accumulator
-    MatrixF scratch_f;       ///< k_i x b float intermediate
+    std::vector<float> factor_panel_f;
+    std::vector<float> row_scratch_f;
     std::vector<float> transpose_partial_f;
     /// Per-factor float32 copies of Q_i's values (and cached CSC values),
     /// built once by ensure_float_values and reused across panels, rounds,
@@ -171,6 +202,11 @@ class FactorizedSet {
     };
     std::vector<FloatFactorValues> float_values;
   };
+
+  /// Y = (sum_i x_i A_i) V for a row-major dim() x b panel V: the two-phase
+  /// apply (see the class comment). Column t is bit-identical to
+  /// weighted_apply on column t whenever the factors' transpose kernels
+  /// agree across widths (always with a transpose index).
   void weighted_apply_block(const Vector& x, const Matrix& v, Matrix& y,
                             BlockWorkspace& workspace) const;
 
@@ -180,18 +216,50 @@ class FactorizedSet {
   /// precision mode).
   void ensure_float_values(BlockWorkspace& workspace) const;
 
-  /// Float32 twin of weighted_apply_block: same factor traversal over
-  /// MatrixF panels through the float kernel seam. Column results carry
-  /// float rounding (deterministic per ISA); only the sketch/Taylor panels
-  /// ever run through here -- every certificate-bearing quantity stays
-  /// double (see BigDotExpOptions::panel_precision).
+  /// Float32 twin of weighted_apply_block: the same two phases over
+  /// MatrixF panels through the float kernel seam, weights rounded to
+  /// float once per accumulated term. Column results carry float rounding
+  /// (deterministic per ISA); only the sketch/Taylor panels ever run
+  /// through here -- every certificate-bearing quantity stays double (see
+  /// BigDotExpOptions::panel_precision).
   void weighted_apply_block_f(const Vector& x, const MatrixF& v, MatrixF& y,
                               BlockWorkspace& workspace) const;
 
  private:
+  /// The shared two-phase body. `transpose(i, t)` writes T_i into its
+  /// stacked slice `t`; `row_values(i)` is the value array Phase B's
+  /// `spmm_rows` multiplies Q_i's rows with.
+  template <typename T, typename Transpose, typename RowValues>
+  void apply_two_phase(const Vector& x, Index b, T* y, std::vector<T>& stack,
+                       std::vector<T>& row_scratch,
+                       void (*spmm_rows)(const Index*, const Index*,
+                                         const T*, Index, Index, Index,
+                                         const T*, T*),
+                       const Transpose& transpose,
+                       const RowValues& row_values) const;
+
   std::vector<FactorizedPsd> items_;
   Index dim_ = 0;
   Index total_nnz_ = 0;
+  /// Stacked-panel row offsets: factor i's T_i sits c_i = col_offsets_[i]
+  /// rows into the sum_i k_i stacked rows (size() + 1 entries).
+  std::vector<Index> col_offsets_;
+  /// Gaps of at most this many empty rows inside a factor's support are
+  /// bridged into one run: an empty row adds x_i * (+0), bitwise free, and
+  /// one longer kernel call beats two short ones.
+  static constexpr Index kRunGap = 4;
+  /// A run [begin, end) of factor rows: non-empty at both ends, no gap
+  /// longer than kRunGap inside. 32-bit rows keep the index small on
+  /// many-factor instances.
+  struct RowRun {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  /// Row support of every factor as ascending runs: factor i's runs are
+  /// runs_[run_offsets_[i] .. run_offsets_[i+1]). Phase B touches only
+  /// these rows, in calls as long as the runs.
+  std::vector<RowRun> runs_;
+  std::vector<Index> run_offsets_;
 };
 
 }  // namespace psdp::sparse

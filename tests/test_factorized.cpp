@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "linalg/eig.hpp"
+#include "par/parallel.hpp"
+#include "simd/simd.hpp"
 #include "sparse/factorized.hpp"
+#include "sparse/sharded.hpp"
 #include "test_helpers.hpp"
 
 namespace psdp::sparse {
 namespace {
 
 using linalg::Matrix;
+using linalg::MatrixF;
 using linalg::Vector;
 using psdp::testing::random_psd;
 using psdp::testing::random_psd_rank;
@@ -134,6 +141,231 @@ TEST(FactorizedPsd, PsdByConstruction) {
   const FactorizedPsd a{q};
   const auto eig = linalg::jacobi_eig(a.to_dense());
   EXPECT_GE(eig.eigenvalues[3], -1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Two-phase Psi apply vs the per-constraint reference, bit for bit.
+
+// Tall enough that wide panels split Phase B over several row chunks.
+constexpr Index kPsiDim = 4099;
+
+/// Random m x k factor with about `per_col` entries per column; rows are
+/// drawn from [row_lo, row_hi), so every other row of the factor is empty.
+Csr random_factor(Index m, Index k, Index per_col, Index row_lo, Index row_hi,
+                  std::uint64_t seed) {
+  rand::Rng rng(seed);
+  std::vector<Triplet> triplets;
+  for (Index c = 0; c < k; ++c) {
+    for (Index e = 0; e < per_col; ++e) {
+      const Index r = row_lo + static_cast<Index>(rng.uniform() *
+                                                  static_cast<Real>(row_hi - row_lo));
+      triplets.push_back({std::min(r, row_hi - 1), c, rng.normal()});
+    }
+  }
+  return Csr::from_triplets(m, k, std::move(triplets));
+}
+
+/// A set mixing every factor shape the apply must handle: tall factors
+/// (transpose index, gather), one tall factor with a segment grid small
+/// enough that wide panels take the segmented gather, wide factors below
+/// the aspect gate (no index: owned-column scatter), factors confined to a
+/// row band, a rank-one factor, and an all-empty factor.
+FactorizedSet psi_test_set() {
+  std::vector<FactorizedPsd> items;
+  const Index m = kPsiDim;
+  items.emplace_back(random_factor(m, 3, 12, 0, m, 1));
+  items.emplace_back(random_factor(m, 2, 6, 400, 900, 2));
+  TransposePlanOptions segmented;
+  segmented.segment_rows = 512;
+  segmented.max_segment_index_ratio = 1e9;
+  segmented.window_bytes = 512 * 8;
+  segmented.autotune.enable = false;
+  items.emplace_back(random_factor(m, 4, 40, 0, m, 3), segmented);
+  items.emplace_back(random_factor(m, 1100, 2, 0, m, 4));  // no index
+  items.emplace_back(random_factor(m, 1050, 2, 1000, 2000, 5));  // no index
+  Vector spike(m);
+  for (Index r = 10; r < m; r += 371) spike[r] = 0.5 + static_cast<Real>(r % 7);
+  items.push_back(FactorizedPsd::rank_one(spike));
+  items.emplace_back(Csr::from_triplets(m, 1, {}));  // all rows empty
+  items.emplace_back(random_factor(m, 5, 20, 0, m, 6));
+  items.emplace_back(random_factor(m, 3, 9, 2000, m, 7));
+  FactorizedSet set(std::move(items));
+  EXPECT_FALSE(set[3].q().has_transpose_index());
+  EXPECT_TRUE(set[2].q().has_segment_index());
+  return set;
+}
+
+/// Many short factors (sum_i k_i = 5 x dim): the apply must take the
+/// constraints in several stacked groups, zeroing Y only in the first.
+FactorizedSet psi_wide_set() {
+  constexpr Index m = 24;
+  std::vector<FactorizedPsd> items;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const Index lo = static_cast<Index>(i % 3) * 6;
+    items.emplace_back(random_factor(m, 3, 5, lo, m - lo / 2, 50 + i));
+  }
+  items.emplace_back(random_factor(m, 30, 20, 0, m, 99));  // k > dim alone
+  return FactorizedSet(std::move(items));
+}
+
+Vector psi_weights(Index n) {
+  rand::Rng rng(11);
+  Vector x(n);
+  for (Index i = 0; i < n; ++i) x[i] = 0.1 + rng.uniform();
+  x[1] = 0;  // zero weights are skipped
+  x[4] = 0;
+  return x;
+}
+
+Matrix psi_panel(Index dim, Index b, std::uint64_t seed) {
+  rand::Rng rng(seed);
+  Matrix v(dim, b);
+  for (Index i = 0; i < dim; ++i) {
+    for (Index t = 0; t < b; ++t) v(i, t) = rng.normal();
+  }
+  return v;
+}
+
+/// The dense per-constraint accumulate the two-phase apply replaced:
+/// sum_i FactorizedPsd::apply_block + Matrix::add_scaled, ascending i.
+Matrix reference_block(const FactorizedSet& set, const Vector& x,
+                       const Matrix& v) {
+  Matrix y(set.dim(), v.cols());
+  Matrix contribution, scratch;
+  std::vector<Real> partial;
+  for (Index i = 0; i < set.size(); ++i) {
+    if (x[i] == 0) continue;
+    set[i].apply_block(v, contribution, scratch, partial);
+    y.add_scaled(contribution, x[i]);
+  }
+  return y;
+}
+
+/// Float twin of reference_block (float weights, one rounding per term).
+MatrixF reference_block_f(const FactorizedSet& set, const Vector& x,
+                          const MatrixF& v) {
+  MatrixF y(set.dim(), v.cols());
+  y.fill(0);
+  MatrixF contribution, scratch;
+  std::vector<float> values, t_values, partial;
+  for (Index i = 0; i < set.size(); ++i) {
+    if (x[i] == 0) continue;
+    set[i].q().fill_float_values(values, t_values);
+    set[i].apply_block_f(v, contribution, scratch, values, t_values, partial);
+    const float w = static_cast<float>(x[i]);
+    for (Index e = 0; e < set.dim() * v.cols(); ++e) {
+      y.data()[e] += w * contribution.data()[e];
+    }
+  }
+  return y;
+}
+
+/// Matvec twin: sum_i FactorizedPsd::apply + Vector::add_scaled.
+Vector reference_apply(const FactorizedSet& set, const Vector& x,
+                       const Vector& v) {
+  Vector y(set.dim());
+  Vector contribution(set.dim());
+  for (Index i = 0; i < set.size(); ++i) {
+    if (x[i] == 0) continue;
+    set[i].apply(v, contribution);
+    y.add_scaled(contribution, x[i]);
+  }
+  return y;
+}
+
+template <typename T>
+bool same_bits(const T* a, const T* b, Index n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(T)) == 0;
+}
+
+/// Runs `check(set, label)` over both test sets, K = 1 and K = 4
+/// shardings, 1/2/4 threads and every available ISA.
+template <typename Check>
+void for_each_psi_config(const Check& check) {
+  const int saved_threads = par::num_threads();
+  for (const FactorizedSet& base : {psi_test_set(), psi_wide_set()}) {
+    const ShardedFactorizedSet k1(base);
+    const ShardedFactorizedSet k4(base, 4);
+    ASSERT_EQ(k4.shard_count(), 4);
+    for (const ShardedFactorizedSet* sharded : {&k1, &k4}) {
+      for (const int threads : {1, 2, 4}) {
+        par::set_num_threads(threads);
+        for (const simd::Isa isa : simd::compiled_isas()) {
+          if (!simd::isa_available(isa)) continue;
+          const simd::ScopedIsa scoped(isa);
+          check(sharded->set(),
+                str("dim=", base.dim(), " K=", sharded->shard_count(),
+                    " threads=", threads, " isa=", simd::isa_name(isa)));
+        }
+      }
+    }
+  }
+  par::set_num_threads(saved_threads);
+}
+
+TEST(PsiApply, BlockMatchesPerConstraintReferenceBitwise) {
+  for_each_psi_config([](const FactorizedSet& set, const std::string& label) {
+    const Vector x = psi_weights(set.size());
+    FactorizedSet::BlockWorkspace workspace;  // reused across widths
+    for (const Index b : {1, 2, 3, 8, 16, 17, 32}) {
+      const Matrix v =
+          psi_panel(set.dim(), b, 100 + static_cast<std::uint64_t>(b));
+      Matrix y;
+      set.weighted_apply_block(x, v, y, workspace);
+      const Matrix want = reference_block(set, x, v);
+      ASSERT_EQ(y.rows(), set.dim());
+      ASSERT_EQ(y.cols(), b);
+      EXPECT_TRUE(same_bits(y.data(), want.data(), set.dim() * b))
+          << label << " b=" << b;
+    }
+  });
+}
+
+TEST(PsiApply, FloatBlockMatchesPerConstraintReferenceBitwise) {
+  for_each_psi_config([](const FactorizedSet& set, const std::string& label) {
+    const Vector x = psi_weights(set.size());
+    FactorizedSet::BlockWorkspace workspace;
+    for (const Index b : {1, 2, 3, 8, 16, 17, 32}) {
+      const Matrix vd =
+          psi_panel(set.dim(), b, 200 + static_cast<std::uint64_t>(b));
+      MatrixF v(set.dim(), b);
+      for (Index e = 0; e < set.dim() * b; ++e) {
+        v.data()[e] = static_cast<float>(vd.data()[e]);
+      }
+      MatrixF y;
+      set.weighted_apply_block_f(x, v, y, workspace);
+      const MatrixF want = reference_block_f(set, x, v);
+      EXPECT_TRUE(same_bits(y.data(), want.data(), set.dim() * b))
+          << label << " b=" << b;
+    }
+  });
+}
+
+TEST(PsiApply, MatvecMatchesPerConstraintReferenceBitwise) {
+  for_each_psi_config([](const FactorizedSet& set, const std::string& label) {
+    const Vector x = psi_weights(set.size());
+    const Matrix panel = psi_panel(set.dim(), 1, 300);
+    Vector v(set.dim());
+    for (Index i = 0; i < set.dim(); ++i) v[i] = panel(i, 0);
+    Vector y;
+    set.weighted_apply(x, v, y);
+    const Vector want = reference_apply(set, x, v);
+    EXPECT_TRUE(same_bits(y.data(), want.data(), set.dim())) << label;
+  });
+}
+
+TEST(PsiApply, AllZeroWeightsGiveZero) {
+  for (const FactorizedSet& set : {psi_test_set(), psi_wide_set()}) {
+    const Vector x(set.size());
+    const Matrix v = psi_panel(set.dim(), 3, 400);
+    Matrix y(set.dim(), 3, 7.0);  // stale contents must be overwritten
+    FactorizedSet::BlockWorkspace workspace;
+    set.weighted_apply_block(x, v, y, workspace);
+    for (Index e = 0; e < set.dim() * 3; ++e) {
+      EXPECT_FALSE(std::signbit(y.data()[e]));
+      EXPECT_EQ(y.data()[e], 0.0);
+    }
+  }
 }
 
 }  // namespace

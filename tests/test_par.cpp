@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "par/cost_meter.hpp"
@@ -141,6 +142,45 @@ TEST(NumThreads, SetAndRestore) {
   EXPECT_EQ(count.load(), 100);
   set_num_threads(before);
   EXPECT_THROW(set_num_threads(0), InvalidArgument);
+}
+
+TEST(NumThreads, ConcurrentFirstUseSharesOnePool) {
+  // The pool and the thread count are created on first use. Many OS
+  // threads (serve lanes, plan builders) may make that first use at the
+  // same instant; each must get the one shared pool and finish its loop.
+  // set_num_threads drops the pool, so every round races a fresh lazy init.
+  const int saved = num_threads();
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 200;
+  constexpr Index kN = 4096;
+  const Real want = static_cast<Real>(kN) * (kN - 1) / 2;
+  for (int round = 0; round < kRounds; ++round) {
+    set_num_threads(2 + round % 3);
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<Real> sums(kThreads, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (!go.load()) std::this_thread::yield();
+        std::vector<Real> out(static_cast<std::size_t>(kN), 0);
+        parallel_for(0, kN, [&](Index i) {
+          out[static_cast<std::size_t>(i)] = static_cast<Real>(i);
+        }, /*grain=*/64);
+        sums[static_cast<std::size_t>(t)] =
+            parallel_sum(0, kN, [&](Index i) {
+              return out[static_cast<std::size_t>(i)];
+            }, /*grain=*/64);
+      });
+    }
+    while (ready.load() < kThreads) std::this_thread::yield();
+    go.store(true);
+    for (std::thread& t : threads) t.join();
+    for (const Real s : sums) ASSERT_EQ(s, want) << "round " << round;
+  }
+  set_num_threads(saved);
 }
 
 TEST(CostMeter, AccumulatesAndResets) {
