@@ -21,9 +21,9 @@
 //   * the steady-state-allocation guard -- solver iterations on a shared
 //     SolverWorkspace must perform zero heap allocations after warmup
 //     (counted by the replaced global operator new below).
-// The block sweep also runs the fused big_dot_exp path with float32 sketch
-// panels (PanelPrecision::kFloat32) and checks it against the double
-// reference at the certificate-level 5e-3 bar (vs 1e-8 for double layouts).
+// The block sweep also times end-to-end big_dot_exp: the block = 1
+// reference and the fused blocked path at every wider panel, whose dots must
+// stay within 1e-8 of the reference.
 // `--sweep-only` exits after the sweeps; `--smoke` shrinks the instances
 // for CI hot-path regression checks. `--widths=1,4,8,32` overrides the
 // transpose sweep's panel widths (so the docs' regeneration commands are
@@ -332,21 +332,10 @@ struct SweepRow {
 // primitive the KernelPlan autotuner uses, so the sweep and the tuner
 // answer "which kernel is fastest?" identically by construction.
 
-struct BlockSweepResult {
-  std::vector<SweepRow> rows;
-  /// What the float32-requested fused rows actually ran as (kDouble when a
-  /// gate refused the request -- should not happen on the bench instance).
-  core::PanelPrecision float_mode_ran = core::PanelPrecision::kDouble;
-  /// Worst deviation of the float32 fused rows from the double reference;
-  /// gated at 5e-3 (certificate tolerance) instead of the 1e-8 bar the
-  /// double layouts must meet.
-  double worst_float_dev = 0;
-};
-
 /// The default bench instance of the acceptance bar: an m-dimensional sparse
 /// Phi pushed through the degree-k exp-Taylor recurrence against r >= 32
 /// sketch vectors, single-vector vs. panels of width b.
-BlockSweepResult run_block_sweep(bool smoke) {
+std::vector<SweepRow> run_block_sweep(bool smoke) {
   const Index m = smoke ? (1 << 10) : (1 << 14);
   const Index r = 64;
   const Index degree = 16;
@@ -377,8 +366,7 @@ BlockSweepResult run_block_sweep(bool smoke) {
   const rand::GaussianSketch sketch =
       rand::GaussianSketch::deferred(r, m, 2024);
 
-  BlockSweepResult out;
-  std::vector<SweepRow>& rows = out.rows;
+  std::vector<SweepRow> rows;
   const Index blocks[] = {1, 4, 8, 16, 32};
 
   // Raw SpMM: one pass of Phi against an m x b panel vs b single SpMVs.
@@ -443,12 +431,10 @@ BlockSweepResult run_block_sweep(bool smoke) {
     rows.push_back(row);
   }
 
-  // End-to-end big_dot_exp on the factorized default instance, checking the
-  // blocked results against the block = 1 reference as it sweeps. Two
-  // blocked layouts per width: the two-pass S^T materialization
-  // ("big_dot_exp") and the fused per-panel accumulation
-  // ("big_dot_exp_fused", the default in production -- saves the m x r
-  // buffer and one full pass over S).
+  // End-to-end big_dot_exp on the factorized default instance: the block = 1
+  // reference path ("big_dot_exp") and the fused blocked path at every wider
+  // panel ("big_dot_exp_fused", what the solvers run), each checked against
+  // the reference as the sweep goes.
   apps::FactorizedOptions gen;
   gen.n = smoke ? 32 : 128;
   gen.m = m;
@@ -460,70 +446,28 @@ BlockSweepResult run_block_sweep(bool smoke) {
   options.taylor_degree_override = degree;
   core::BigDotExpResult reference;
   double bde_single = 0;
-  for (const bool fuse : {false, true}) {
-    for (const Index b : blocks) {
-      if (fuse && b == 1) continue;  // block 1 is the unfused reference path
-      core::BigDotExpOptions blocked = options;
-      blocked.block_size = b;
-      blocked.fuse_dots = fuse;
-      core::BigDotExpResult result;
-      SweepRow row;
-      row.kernel = fuse ? "big_dot_exp_fused" : "big_dot_exp";
-      row.block = b;
-      row.seconds = linalg::time_block_kernel(reps, [&] {
-        result = core::big_dot_exp(phi, 2.0, inst.set(), blocked);
-      });
-      if (!fuse && b == 1) {
-        bde_single = row.seconds;
-        reference = result;
-      }
-      for (Index i = 0; i < result.dots.size(); ++i) {
-        row.max_rel_dev = std::max(
-            row.max_rel_dev, std::abs(result.dots[i] / reference.dots[i] - 1));
-      }
-      row.speedup_vs_single = bde_single / row.seconds;
-      rows.push_back(row);
+  for (const Index b : blocks) {
+    core::BigDotExpOptions blocked = options;
+    blocked.block_size = b;
+    core::BigDotExpResult result;
+    SweepRow row;
+    row.kernel = b == 1 ? "big_dot_exp" : "big_dot_exp_fused";
+    row.block = b;
+    row.seconds = linalg::time_block_kernel(reps, [&] {
+      result = core::big_dot_exp(phi, 2.0, inst.set(), blocked);
+    });
+    if (b == 1) {
+      bde_single = row.seconds;
+      reference = result;
     }
-  }
-
-  // Mixed-precision fused path: float32 sketch/Taylor panels, compensated
-  // double dots (PanelPrecision::kFloat32). Checked against the same
-  // block = 1 double reference, but at the certificate-level 5e-3 bar --
-  // float panel rounding is real, it just has to stay far inside eps.
-  {
-    std::vector<float> phi_values_f, phi_t_values_f;
-    phi.fill_float_values(phi_values_f, phi_t_values_f);
-    const linalg::BlockOpF block_op_f = [&phi, &phi_values_f](
-                                            const linalg::MatrixF& x,
-                                            linalg::MatrixF& y) {
-      phi.apply_block_f(x, y, phi_values_f);
-    };
-    core::SolverWorkspace workspace;
-    for (const Index b : blocks) {
-      if (b == 1) continue;  // the fused path needs a panel
-      core::BigDotExpOptions blocked = options;
-      blocked.block_size = b;
-      blocked.fuse_dots = true;
-      blocked.panel_precision = core::PanelPrecision::kFloat32;
-      core::BigDotExpResult result;
-      SweepRow row;
-      row.kernel = "big_dot_exp_fused_f32";
-      row.block = b;
-      row.seconds = linalg::time_block_kernel(reps, [&] {
-        core::big_dot_exp(op, block_op, m, 2.0, inst.set(), blocked,
-                          workspace, result, &block_op_f);
-      });
-      out.float_mode_ran = result.panel_precision;
-      for (Index i = 0; i < result.dots.size(); ++i) {
-        row.max_rel_dev = std::max(
-            row.max_rel_dev, std::abs(result.dots[i] / reference.dots[i] - 1));
-      }
-      out.worst_float_dev = std::max(out.worst_float_dev, row.max_rel_dev);
-      row.speedup_vs_single = bde_single / row.seconds;
-      rows.push_back(row);
+    for (Index i = 0; i < result.dots.size(); ++i) {
+      row.max_rel_dev = std::max(
+          row.max_rel_dev, std::abs(result.dots[i] / reference.dots[i] - 1));
     }
+    row.speedup_vs_single = bde_single / row.seconds;
+    rows.push_back(row);
   }
-  return out;
+  return rows;
 }
 
 // ------------------------------------------------------------------------
@@ -867,7 +811,7 @@ PsiSweepResult run_psi_sweep(bool smoke) {
   return result;
 }
 
-void write_sweep_json(const BlockSweepResult& block,
+void write_sweep_json(const std::vector<SweepRow>& block,
                       const TransposeSweepResult& transpose,
                       const SimdSweepResult& simd_sweep,
                       const PsiSweepResult& psi,
@@ -894,10 +838,8 @@ void write_sweep_json(const BlockSweepResult& block,
     out << "\"" << simd::isa_name(compiled[i]) << "\""
         << (i + 1 < compiled.size() ? ", " : "");
   }
-  out << "],\n  \"panel_precision\": \""
-      << core::panel_precision_name(block.float_mode_ran)
-      << "\",\n  \"block_sweep\": [\n";
-  write_rows(out, block.rows);
+  out << "],\n  \"block_sweep\": [\n";
+  write_rows(out, block);
   out << "  ],\n  \"transpose_sweep\": [\n";
   write_rows(out, transpose.rows);
   out << "  ],\n  \"simd\": [\n";
@@ -947,8 +889,8 @@ int run_sweep(const SweepConfig& config) {
   for (const simd::Isa isa : simd::compiled_isas()) {
     std::cout << " " << simd::isa_name(isa);
   }
-  std::cout << "), sketch panels double (reference) + float32 sweep\n";
-  const BlockSweepResult block = run_block_sweep(smoke);
+  std::cout << ")\n";
+  const std::vector<SweepRow> block = run_block_sweep(smoke);
   const TransposeSweepResult transpose =
       run_transpose_sweep(smoke, config.widths, config.plan_in);
   const SimdSweepResult simd_sweep = run_simd_sweep(smoke, config.widths);
@@ -979,7 +921,7 @@ int run_sweep(const SweepConfig& config) {
   std::cout << "SpMV-vs-SpMM block sweep (r = 64 sketch rows):\n";
   bool taylor_bar_met = false;
   double worst_dev = 0;
-  for (const SweepRow& row : block.rows) {
+  for (const SweepRow& row : block) {
     std::cout << "  " << row.kernel << " b=" << row.block << ": "
               << row.seconds * 1e3 << " ms, " << row.speedup_vs_single
               << "x vs single\n";
@@ -987,10 +929,7 @@ int run_sweep(const SweepConfig& config) {
         row.speedup_vs_single >= 2.0) {
       taylor_bar_met = true;
     }
-    // Float32 rows are gated separately at the 5e-3 certificate bar.
-    if (row.kernel != "big_dot_exp_fused_f32") {
-      worst_dev = std::max(worst_dev, row.max_rel_dev);
-    }
+    worst_dev = std::max(worst_dev, row.max_rel_dev);
   }
   std::cout << "transpose sweep (tall factor: owned-column scatter vs "
                "gather vs segmented gather vs the plan dispatch):\n";
@@ -1045,9 +984,6 @@ int run_sweep(const SweepConfig& config) {
   const bool isa_bar_met = !smoke || env_forced ||
                            simd::compiled_isas().size() <= 1 ||
                            simd::active_isa() != simd::Isa::kScalar;
-  const bool float_engaged =
-      block.float_mode_ran == core::PanelPrecision::kFloat32;
-  const bool float_bar_met = float_engaged && block.worst_float_dev < 5e-3;
   std::cout << "[" << (taylor_bar_met ? "PERF OK" : "PERF MISS")
             << "] blocked exp-Taylor >= 2x at some b >= 8; max big_dot_exp "
                "deviation from reference "
@@ -1062,10 +998,6 @@ int run_sweep(const SweepConfig& config) {
   std::cout << "[" << (simd_sweep.gather_bar_met ? "PERF OK" : "PERF MISS")
             << "] SIMD gather >= 2x over forced-scalar at some width >= 8 "
                "(vacuous under scalar dispatch)\n";
-  std::cout << "[" << (float_bar_met ? "PREC OK" : "PREC MISS")
-            << "] float32 sketch panels engaged and within 5e-3 of the "
-               "double reference; worst deviation "
-            << block.worst_float_dev << "\n";
   std::cout << "[" << (isa_bar_met ? "SIMD OK" : "SIMD MISS")
             << "] non-scalar dispatch on a SIMD-enabled build (smoke/CI "
                "check)\n";
@@ -1076,12 +1008,12 @@ int run_sweep(const SweepConfig& config) {
             << "] zero steady-state allocations\n";
   std::cout << "wrote BENCH_kernels.json\n";
   // Smoke runs (CI on tiny instances) gate on correctness, the allocation
-  // bar, the float32 certificate bar, the dispatch check, and the Psi-apply
+  // bar, the dispatch check, and the Psi-apply
   // bar (bitwise + a 2x floor far below the measured gap, so a returning
   // dense accumulate fails CI); the other perf bars are enforced on the
   // full default instances.
   return worst_dev < 1e-8 && transpose_dev < 1e-8 && alloc_bar_met &&
-                 float_bar_met && isa_bar_met && psi.bar_met &&
+                 isa_bar_met && psi.bar_met &&
                  (smoke ||
                   (taylor_bar_met && transpose_bar_met &&
                    transpose.planned_tracks_best && simd_sweep.gather_bar_met))

@@ -9,6 +9,7 @@
 //     min Tr[Y]   s.t.  (h_i h_i^T) . Y >= demand,  Y >= 0.
 //
 // Run:  ./beamforming [--users=16 --antennas=8 --spread=10 --eps=0.15]
+#include <exception>
 #include <iostream>
 
 #include "apps/beamforming.hpp"
@@ -26,7 +27,12 @@ int main(int argc, char** argv) {
   auto& spread = cli.flag<Real>("spread", 10.0, "near/far path-loss spread");
   auto& eps = cli.flag<Real>("eps", 0.15, "target relative accuracy");
   auto& seed = cli.flag<Index>("seed", 2012, "channel seed");
-  cli.parse(argc, argv);
+  try {
+    cli.parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) return 0;
 
   apps::BeamformingOptions gen;

@@ -8,6 +8,7 @@
 // concrete.
 //
 // Run:  ./ellipse_packing [--eps=0.15]
+#include <exception>
 #include <iomanip>
 #include <iostream>
 
@@ -22,7 +23,12 @@ int main(int argc, char** argv) {
 
   util::Cli cli("ellipse_packing", "Figure-1 ellipse packing walkthrough");
   auto& eps = cli.flag<Real>("eps", 0.15, "algorithm accuracy parameter");
-  cli.parse(argc, argv);
+  try {
+    cli.parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) return 0;
 
   const core::PackingInstance fig1 = apps::figure1_instance();

@@ -8,6 +8,7 @@
 // out r columns wide (r << m) and the factorized path works on
 // q = O(n r m) numbers instead of n dense m x m matrices.
 // Run:  ./factorize_and_solve [--n=16] [--m=16] [--rank=2] [--eps=0.25]
+#include <exception>
 #include <iostream>
 
 #include "apps/generators.hpp"
@@ -31,7 +32,12 @@ int main(int argc, char** argv) {
       "decision-eps", 0.15,
       "eps per decision probe (coarser = much faster factorized probes)");
   auto& seed = cli.flag<Index>("seed", 2012, "instance seed");
-  cli.parse(argc, argv);
+  try {
+    cli.parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) return 0;
 
   const core::PackingInstance dense_instance = apps::random_ellipses(

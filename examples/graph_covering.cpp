@@ -8,6 +8,7 @@
 // the dense path for cross-checking.
 //
 // Run:  ./graph_covering [--vertices=12 --extra-edges=10 --eps=0.2]
+#include <exception>
 #include <iostream>
 
 #include "apps/graph.hpp"
@@ -24,7 +25,12 @@ int main(int argc, char** argv) {
   auto& extra = cli.flag<Index>("extra-edges", 10, "chords beyond the path");
   auto& eps = cli.flag<Real>("eps", 0.2, "target relative accuracy");
   auto& seed = cli.flag<Index>("seed", 17, "graph seed");
-  cli.parse(argc, argv);
+  try {
+    cli.parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) return 0;
 
   const apps::Graph g = apps::random_connected_graph(

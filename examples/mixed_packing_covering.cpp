@@ -16,6 +16,7 @@
 // Run:  ./mixed_packing_covering [--n=12 --m=6 --districts=4 --eps=0.2]
 //                                [--factorized=1]
 #include <cmath>
+#include <exception>
 #include <iostream>
 
 #include "core/certificates.hpp"
@@ -41,7 +42,12 @@ int main(int argc, char** argv) {
   auto& factorized = cli.flag<bool>(
       "factorized", false,
       "solve on the sketched bigDotExp oracle (never forms an m x m matrix)");
-  cli.parse(argc, argv);
+  try {
+    cli.parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) return 0;
 
   // Interference footprints: random low-rank PSD; service profiles:

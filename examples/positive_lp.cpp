@@ -9,6 +9,7 @@
 //                                positive SDP (what the paper generalizes),
 //   3. the analytic optimum   -- k/2.
 // Run:  ./positive_lp [--vertices=10] [--eps=0.1]
+#include <exception>
 #include <iostream>
 
 #include "apps/generators.hpp"
@@ -24,7 +25,12 @@ int main(int argc, char** argv) {
                 "Fractional matching LP via the width-independent solver");
   auto& vertices = cli.flag<Index>("vertices", 10, "complete-graph vertices");
   auto& eps = cli.flag<Real>("eps", 0.1, "target relative accuracy");
-  cli.parse(argc, argv);
+  try {
+    cli.parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) return 0;
 
   const apps::MatchingLpInstance matching =

@@ -5,6 +5,7 @@
 //     max 1^T x   s.t.  x1 A1 + x2 A2 + x3 A3 <= I,  x >= 0
 // with approxPSDP, and verify the answer with the independent certificate
 // checker. Run:  ./quickstart [--eps=0.1]
+#include <exception>
 #include <iostream>
 
 #include "apps/generators.hpp"
@@ -17,7 +18,12 @@ int main(int argc, char** argv) {
 
   util::Cli cli("quickstart", "Solve the Figure-1 packing SDP");
   auto& eps = cli.flag<Real>("eps", 0.1, "target relative accuracy");
-  cli.parse(argc, argv);
+  try {
+    cli.parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) return 0;
 
   // The Figure 1 instance: A1 = diag(1, 1/4), A2 = diag(1/4, 1), and A3 a

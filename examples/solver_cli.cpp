@@ -39,16 +39,14 @@ namespace {
 using namespace psdp;
 
 /// Kernel-configuration banner: which SIMD backend this process dispatches
-/// to (and which were compiled in), plus the sketch-panel precision the
-/// factorized solvers will request.
-void print_kernel_banner(core::PanelPrecision precision) {
+/// to (and which were compiled in).
+void print_kernel_banner() {
   std::cout << "Kernels: isa " << simd::isa_name(simd::active_isa())
             << " (compiled:";
   for (const simd::Isa isa : simd::compiled_isas()) {
     std::cout << " " << simd::isa_name(isa);
   }
-  std::cout << "), sketch panels "
-            << core::panel_precision_name(precision) << "\n";
+  std::cout << ")\n";
 }
 
 int solve_packing_dense(const std::string& path, const core::OptimizeOptions& options) {
@@ -283,10 +281,6 @@ int main(int argc, char** argv) {
       "lanes", 0, "batch mode: concurrent job lanes (0 = auto)");
   auto& threads = cli.flag<int>(
       "threads", 0, "thread-pool width (0 = hardware default)");
-  auto& panel_precision = cli.flag<std::string>(
-      "panel-precision", "double",
-      "sketch/Taylor panel precision: double | float32 (float32 engages "
-      "only on the blocked fused path at eps above the certificate gate)");
   auto& profile_path = cli.flag<std::string>(
       "tunables-profile", "",
       "per-shape tuned profile JSON (from bench_load --profile-out); the "
@@ -302,14 +296,6 @@ int main(int argc, char** argv) {
 
   try {
     if (threads.value > 0) par::set_num_threads(threads.value);
-    core::PanelPrecision precision = core::PanelPrecision::kDouble;
-    if (panel_precision.value == "float32") {
-      precision = core::PanelPrecision::kFloat32;
-    } else {
-      PSDP_CHECK(panel_precision.value == "double",
-                 str("unknown --panel-precision '", panel_precision.value,
-                     "' (double | float32)"));
-    }
     if (!example.value.empty()) {
       write_example(example.value, kind.value);
       return 0;
@@ -330,7 +316,7 @@ int main(int argc, char** argv) {
       std::cout << "Loaded tuned profiles: " << profiles->size()
                 << " shape buckets\n";
     }
-    print_kernel_banner(precision);
+    print_kernel_banner();
     if (!batch.value.empty()) {
       return run_batch(batch.value, lanes.set
                                         ? std::optional<int>(lanes.value)
@@ -340,7 +326,6 @@ int main(int argc, char** argv) {
                "--input is required (or --write-example / --batch)");
     core::OptimizeOptions options;
     options.eps = eps.value;
-    options.decision.dot_options.panel_precision = precision;
     if (kind.value == "packing-dense") {
       return solve_packing_dense(input.value, options);
     }

@@ -14,16 +14,6 @@
 
 namespace psdp::core {
 
-const char* panel_precision_name(PanelPrecision precision) {
-  switch (precision) {
-    case PanelPrecision::kDouble:
-      return "double";
-    case PanelPrecision::kFloat32:
-      return "float32";
-  }
-  return "unknown";
-}
-
 namespace {
 
 using linalg::Matrix;
@@ -107,8 +97,7 @@ std::vector<Real> sketch_times_exp_half(const linalg::SymmetricOp& phi,
 /// Fill x_panel with sketch rows [j0, j0 + b): identity columns when the
 /// sketch is exact (exactness implies rows == dim, so j0 + t < dim),
 /// deferred Gaussian rows otherwise. Reuses x_panel's storage (capacity-
-/// preserving reshape). Shared by the two-pass and fused blocked kernels,
-/// which must generate bit-identical panels.
+/// preserving reshape).
 void fill_sketch_panel(const std::optional<rand::GaussianSketch>& pi,
                        bool exact, Index dim, Index j0, Index b,
                        Matrix& x_panel) {
@@ -119,35 +108,6 @@ void fill_sketch_panel(const std::optional<rand::GaussianSketch>& pi,
   } else {
     pi->fill_block(j0, b, x_panel);
   }
-}
-
-/// Blocked path: S^T = p_hat(Phi/2) Pi^T, stored row-major m x r (entry
-/// (i, j) = S_{ji}), computed one m x b panel at a time. Each panel of b
-/// sketch rows is generated straight into panel storage, pushed through the
-/// degree-k recurrence with the workspace's two scratch panels, and
-/// scattered into its columns of S^T. The m x r layout makes S[:, row] --
-/// the access pattern of the dots accumulation -- a contiguous length-r
-/// span.
-std::vector<Real> sketch_times_exp_half_blocked(
-    const linalg::BlockOp& phi_block, Index dim, Index rows, Index degree,
-    std::uint64_t seed, bool exact, Index block, SolverWorkspace& ws) {
-  std::vector<Real> st(static_cast<std::size_t>(dim * rows));
-  std::optional<rand::GaussianSketch> pi;
-  if (!exact) pi.emplace(rand::GaussianSketch::deferred(rows, dim, seed));
-
-  par::global_pool();  // warm up outside the loop (lazy init)
-  for (Index j0 = 0; j0 < rows; j0 += block) {
-    const Index b = std::min(block, rows - j0);
-    fill_sketch_panel(pi, exact, dim, j0, b, ws.x_panel);
-    linalg::apply_exp_taylor_block(phi_block, degree, ws.x_panel, ws.y_panel,
-                                   ws, kHalfScale);
-    par::parallel_for(0, dim, [&](Index i) {
-      const Real* src = ws.y_panel.data() + i * b;
-      Real* dst = st.data() + i * rows + j0;
-      for (Index t = 0; t < b; ++t) dst[t] = src[t];
-    });
-  }
-  return st;
 }
 
 /// dots_i = ||S Q_i||_F^2 from the reference r x m layout: entry
@@ -243,101 +203,6 @@ Real sketch_exp_dots_fused(const linalg::BlockOp& phi_block, Index dim,
   return trace;
 }
 
-/// Float32 twin of sketch_exp_dots_fused -- the mixed-precision sketch mode.
-/// The sketch panel is generated in double (bit-identical to the double
-/// path's panels, same seed stream) and rounded once to float; the Taylor
-/// recurrence then runs entirely on float panels through the caller's float
-/// block operator, and every reduction that feeds a certificate -- the
-/// trace and each panel's dots share -- is a compensated *double* sum over
-/// the float data (sum_sq_f), so float error enters only as O(eps_f) panel
-/// rounding, inside the margin the JL noise budget already absorbs
-/// (docs/noisy_oracle_margin.md). Per-factor float value copies live in the
-/// workspace (ensure_float_values), so steady-state rounds stay
-/// allocation-free here too.
-Real sketch_exp_dots_fused_f(const linalg::BlockOpF& phi_block_f, Index dim,
-                             Index rows, Index degree, std::uint64_t seed,
-                             bool exact, Index block,
-                             const sparse::FactorizedSet& as, ShardSpan shards,
-                             SolverWorkspace& ws, Vector& dots) {
-  std::optional<rand::GaussianSketch> pi;
-  if (!exact) pi.emplace(rand::GaussianSketch::deferred(rows, dim, seed));
-
-  const simd::KernelTable& kt = simd::active_kernels();
-  as.ensure_float_values(ws.factor);
-  if (static_cast<Index>(ws.accumulators_f.size()) < as.size()) {
-    ws.accumulators_f.resize(static_cast<std::size_t>(as.size()));
-  }
-  Real trace = 0;
-  par::global_pool();  // warm up outside the loop (lazy init)
-  for (Index j0 = 0; j0 < rows; j0 += block) {
-    const Index b = std::min(block, rows - j0);
-    fill_sketch_panel(pi, exact, dim, j0, b, ws.x_panel);
-    ws.x_panel_f.reshape(dim, b);
-    kt.convert_d2f(ws.x_panel.data(), ws.x_panel_f.data(), dim * b);
-    linalg::apply_exp_taylor_block_f(phi_block_f, degree, ws.x_panel_f,
-                                     ws.y_panel_f, ws.taylor_f,
-                                     static_cast<float>(kHalfScale));
-    // sum_sq_f is a serial compensated double sum -- already independent of
-    // the pool width -- so the trace needs no deterministic variant here.
-    trace += kt.sum_sq_f(ws.y_panel_f.data(), dim * b);
-    shards.for_each_constraint(as.size(), [&](Index i) {
-      const sparse::Csr& q = as[i].q();
-      const Index k = q.cols();
-      const auto& fv =
-          ws.factor.float_values[static_cast<std::size_t>(i)];
-      std::vector<float>& acc =
-          ws.accumulators_f[static_cast<std::size_t>(i)];
-      acc.assign(static_cast<std::size_t>(k * b), 0.0f);
-      kt.scatter_rows_f(q.row_offsets().data(), q.col_indices().data(),
-                        fv.values.data(), 0, q.rows(), b,
-                        ws.y_panel_f.data(), acc.data());
-      dots[i] += kt.sum_sq_f(acc.data(), k * b);
-      par::CostMeter::add_work(
-          static_cast<std::uint64_t>(b * (2 * q.nnz() + 2 * k)));
-    });
-    // Same model costs as the double path: precision changes constants,
-    // not the metered work/depth shape.
-    par::CostMeter::add_work(static_cast<std::uint64_t>(2 * dim * b));
-    par::CostMeter::add_depth(par::reduction_depth(dim * b) +
-                              par::reduction_depth(as.size()));
-  }
-  return trace;
-}
-
-/// dots_i from the m x r transposed layout, tiled over sketch columns so
-/// the k x tile accumulator stays cache-resident: for each tile of S^T's
-/// columns, entry (row, c, v) of Q_i performs a contiguous length-tile AXPY
-/// from S^T[row, tile] into the accumulator row c.
-void accumulate_dots_blocked(const std::vector<Real>& st, Index r,
-                             const sparse::FactorizedSet& as, Vector& dots) {
-  constexpr Index kSketchTile = 256;
-  par::parallel_for(0, as.size(), [&](Index i) {
-    const sparse::Csr& q = as[i].q();
-    const Index k = q.cols();
-    const Index tile_width = std::min(kSketchTile, r);
-    std::vector<Real> tile(static_cast<std::size_t>(k * tile_width));
-    Real acc = 0;
-    for (Index j0 = 0; j0 < r; j0 += tile_width) {
-      const Index tw = std::min(tile_width, r - j0);
-      std::fill(tile.begin(), tile.begin() + k * tw, Real{0});
-      for (Index row = 0; row < q.rows(); ++row) {
-        const auto cols = q.row_cols(row);
-        const auto vals = q.row_vals(row);
-        const Real* srow = st.data() + row * r + j0;
-        for (std::size_t e = 0; e < cols.size(); ++e) {
-          Real* out = tile.data() + cols[e] * tw;
-          const Real v = vals[e];
-          for (Index t = 0; t < tw; ++t) out[t] += v * srow[t];
-        }
-      }
-      for (Index idx = 0; idx < k * tw; ++idx) acc += sq(tile[idx]);
-    }
-    dots[i] = acc;
-    par::CostMeter::add_work(
-        static_cast<std::uint64_t>(r * (2 * q.nnz() + 2 * k)));
-  }, /*grain=*/1);
-}
-
 /// Shared implementation of the two workspace-form entry points. An empty
 /// (or single-shard) `shards` runs the pre-sharding code byte-for-byte;
 /// K > 1 pins every cross-constraint reduction order (see ShardSpan).
@@ -345,8 +210,7 @@ void big_dot_exp_impl(const linalg::SymmetricOp& phi,
                       const linalg::BlockOp& phi_block, Index dim, Real kappa,
                       const sparse::FactorizedSet& as, ShardSpan shards,
                       const BigDotExpOptions& options,
-                      SolverWorkspace& workspace, BigDotExpResult& result,
-                      const linalg::BlockOpF* phi_block_f) {
+                      SolverWorkspace& workspace, BigDotExpResult& result) {
   PSDP_CHECK(dim >= 1, "big_dot_exp: dimension must be positive");
   PSDP_CHECK(as.dim() == dim, "big_dot_exp: constraint dimension mismatch");
   PSDP_CHECK(kappa >= 0, "big_dot_exp: kappa must be non-negative");
@@ -405,19 +269,6 @@ void big_dot_exp_impl(const linalg::SymmetricOp& phi,
                     : std::min<Index>(kDefaultBlockSize, r);
   block = std::min(block, r);
   result.block_size = block;
-  result.fused = false;
-
-  // The float32 gate (see BigDotExpOptions::panel_precision): every leg
-  // must hold or the call silently runs the double path -- and records
-  // that it did, so callers and benches can tell which precision a result
-  // carries.
-  const bool float_panels =
-      options.panel_precision == PanelPrecision::kFloat32 &&
-      phi_block_f != nullptr && static_cast<bool>(*phi_block_f) &&
-      block > 1 && options.fuse_dots &&
-      options.eps >= options.float_panel_min_eps;
-  result.panel_precision =
-      float_panels ? PanelPrecision::kFloat32 : PanelPrecision::kDouble;
 
   result.dots.resize(as.size());
   if (block == 1) {
@@ -436,40 +287,21 @@ void big_dot_exp_impl(const linalg::SymmetricOp& phi,
     par::CostMeter::add_depth(
         static_cast<std::uint64_t>(result.taylor_degree - 1) *
         (par::reduction_depth(dim) + 1));
-  } else if (options.fuse_dots) {
-    // Fused blocked path: dots and trace accumulate per panel, right after
-    // the panel's Taylor sweep -- no m x r buffer, no second pass over S.
-    result.fused = true;
-    result.dots.fill(0);
-    if (float_panels) {
-      result.trace_exp = sketch_exp_dots_fused_f(
-          *phi_block_f, dim, r, result.taylor_degree, options.seed,
-          result.exact_sketch, block, as, shards, workspace, result.dots);
-    } else {
-      result.trace_exp = sketch_exp_dots_fused(
-          phi_block, dim, r, result.taylor_degree, options.seed,
-          result.exact_sketch, block, as, shards, workspace, result.dots);
-    }
-  } else {
-    // Blocked path: panels of `block` sketch rows share each Phi traversal.
-    const std::vector<Real> st = sketch_times_exp_half_blocked(
-        phi_block, dim, r, result.taylor_degree, options.seed,
-        result.exact_sketch, block, workspace);
-    result.trace_exp = shards.sum(
-        r * dim, [&](Index k) { return sq(st[static_cast<std::size_t>(k)]); });
-    accumulate_dots_blocked(st, r, as, result.dots);
-  }
-
-  // Frobenius reduction for the trace; the Phi applications, Taylor panel
-  // arithmetic, sketch generation, and dots streaming charge themselves.
-  // The fused path has already charged its per-panel reduction depth, so
-  // only the two separate final passes of the unfused layouts add depth
-  // here.
-  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * r * dim));
-  if (!result.fused) {
+    // The trace reduction and the dots pass run one after the other.
     par::CostMeter::add_depth(par::reduction_depth(dim) +
                               par::reduction_depth(as.size()));
+  } else {
+    // Fused blocked path: dots and trace accumulate per panel, right after
+    // the panel's Taylor sweep -- no m x r buffer, no second pass over S --
+    // and the sweep charges its own per-panel reduction depth.
+    result.dots.fill(0);
+    result.trace_exp = sketch_exp_dots_fused(
+        phi_block, dim, r, result.taylor_degree, options.seed,
+        result.exact_sketch, block, as, shards, workspace, result.dots);
   }
+  // Frobenius reduction for the trace; the Phi applications, Taylor panel
+  // arithmetic, sketch generation, and dots streaming charge themselves.
+  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * r * dim));
 }
 
 }  // namespace
@@ -478,23 +310,20 @@ void big_dot_exp(const linalg::SymmetricOp& phi,
                  const linalg::BlockOp& phi_block, Index dim, Real kappa,
                  const sparse::FactorizedSet& as,
                  const BigDotExpOptions& options, SolverWorkspace& workspace,
-                 BigDotExpResult& result,
-                 const linalg::BlockOpF* phi_block_f) {
+                 BigDotExpResult& result) {
   big_dot_exp_impl(phi, phi_block, dim, kappa, as, ShardSpan{}, options,
-                   workspace, result, phi_block_f);
+                   workspace, result);
 }
 
 void big_dot_exp(const linalg::SymmetricOp& phi,
                  const linalg::BlockOp& phi_block, Index dim, Real kappa,
                  const sparse::ShardedFactorizedSet& as,
                  const BigDotExpOptions& options, SolverWorkspace& workspace,
-                 BigDotExpResult& result,
-                 const linalg::BlockOpF* phi_block_f) {
+                 BigDotExpResult& result) {
   // A single-shard partition hands ShardSpan the trivial {0, n} offsets,
   // which it treats as "no partition" -- the legacy path, bit-identical.
   big_dot_exp_impl(phi, phi_block, dim, kappa, as.set(),
-                   ShardSpan{as.shard_offsets()}, options, workspace, result,
-                   phi_block_f);
+                   ShardSpan{as.shard_offsets()}, options, workspace, result);
 }
 
 BigDotExpResult big_dot_exp(const linalg::SymmetricOp& phi,

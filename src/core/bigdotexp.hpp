@@ -27,12 +27,10 @@
 // streams Phi once per panel and turns the inner loops into contiguous
 // length-b dense updates). BigDotExpOptions::block_size picks the width;
 // the blocked path is the default whenever a native block operator is
-// available and is ~2-4x faster at b >= 8 (see bench_kernels). By default
-// the blocked path also *fuses* the dots accumulation into the panel sweep
-// (BigDotExpOptions::fuse_dots): each panel's contribution to every dots_i
-// and to the trace is consumed right after the panel's last Taylor step,
-// so S^T is never materialized (saves the m x r buffer and one full pass
-// over S).
+// available and is ~2-4x faster at b >= 8 (see bench_kernels). The blocked
+// path *fuses* the dots accumulation into the panel sweep: each panel's
+// contribution to every dots_i and to the trace is consumed right after the
+// panel's last Taylor step, so S^T (m x r) is never materialized.
 #pragma once
 
 #include <cstdint>
@@ -56,22 +54,6 @@ using linalg::Vector;
 /// matrix row stay cache-resident. bench_kernels sweeps this.
 inline constexpr Index kDefaultBlockSize = 16;
 
-/// Storage precision of the sketch and Taylor panels. Certificate-bearing
-/// quantities (dots, trace, the error budget) always reduce in double:
-/// the float32 mode stores the *panels* in float and compensates every dot
-/// reduction in double (simd::KernelTable::sum_sq_f), so the extra error
-/// is O(eps_f) panel rounding -- absorbed by the same margin argument that
-/// licenses the JL sketch noise (docs/noisy_oracle_margin.md). Halves the
-/// panel bandwidth and doubles the SIMD lane count.
-enum class PanelPrecision {
-  kDouble,   ///< reference: everything double (the default)
-  kFloat32,  ///< float32 sketch/Taylor panels, compensated double dots
-};
-
-/// Stable name of a panel precision ("double", "float32") for banners and
-/// the bench JSON headers.
-const char* panel_precision_name(PanelPrecision precision);
-
 struct BigDotExpOptions {
   /// Target relative accuracy of each dot product (the eps of Theorem 4.1).
   Real eps = 0.1;
@@ -92,14 +74,6 @@ struct BigDotExpOptions {
   /// (~1e-12 relative) across block sizes. Defaulted from the tunable
   /// registry (`block_size`, default 0).
   Index block_size = util::tunable_block_size();
-  /// Blocked path only: accumulate each panel's contribution to the dots
-  /// and the trace right after that panel's last Taylor step, while the
-  /// panel is cache-hot, instead of materializing S^T (m x r) and
-  /// re-reading it per constraint afterwards. Saves one full pass over S
-  /// plus the m x r buffer; results agree with the two-pass layout to
-  /// rounding (summation order differs). false = the two-pass blocked
-  /// layout, kept for benchmarking (see bench_kernels).
-  bool fuse_dots = true;
   /// Transpose KernelPlan applied to every factor's Q^T panels inside the
   /// implicit-Psi and dots sweeps (nullptr = each factor's own autotuned
   /// plan, the default and usually the right answer). Callers reload a
@@ -109,19 +83,6 @@ struct BigDotExpOptions {
   /// (see sparse/kernel_plan.hpp). The caller keeps the plan alive for
   /// the duration of the call (solvers: the solve).
   const sparse::KernelPlan* kernel_plan = nullptr;
-  /// Requested panel precision. kFloat32 engages only when every gate
-  /// holds -- a float block operator was provided, the blocked fused path
-  /// is active (block > 1 and fuse_dots), and eps >= float_panel_min_eps
-  /// (the certificate-tolerance gate: panel rounding must stay far inside
-  /// the error budget eps already absorbs for the sketch) -- and falls
-  /// back to double silently otherwise; BigDotExpResult::panel_precision
-  /// records what actually ran.
-  PanelPrecision panel_precision = PanelPrecision::kDouble;
-  /// The certificate-tolerance gate of the float32 mode: requests with a
-  /// tighter (smaller) eps than this run in double. Float panels carry
-  /// ~1e-7 relative rounding; at eps >= 1e-3 that is <1% of the error
-  /// budget and the (1 +- eps) certificates stay sound.
-  Real float_panel_min_eps = 1e-3;
 };
 
 struct BigDotExpResult {
@@ -131,10 +92,6 @@ struct BigDotExpResult {
   Index sketch_rows = 0;
   bool exact_sketch = false;  ///< true when r >= m made the sketch exact
   Index block_size = 0;       ///< panel width actually used (1 = reference)
-  bool fused = false;         ///< dots fused into the Taylor panel sweep
-  /// Panel precision that actually ran (kDouble when any float32 gate
-  /// failed -- see BigDotExpOptions::panel_precision).
-  PanelPrecision panel_precision = PanelPrecision::kDouble;
 };
 
 /// Caller-owned scratch recycled across big_dot_exp calls -- and therefore
@@ -152,12 +109,6 @@ struct SolverWorkspace : linalg::TaylorBlockWorkspace {
   linalg::Matrix y_panel;  ///< Taylor output panel (dim x b)
   /// Fused path: one k_i x b dots accumulator per constraint.
   std::vector<std::vector<Real>> accumulators;
-  /// Float twins of the above, touched only by the mixed-precision sketch
-  /// mode (BigDotExpOptions::panel_precision == kFloat32); empty otherwise.
-  linalg::MatrixF x_panel_f;
-  linalg::MatrixF y_panel_f;
-  linalg::TaylorBlockWorkspaceF taylor_f;
-  std::vector<std::vector<float>> accumulators_f;
   /// Scratch of FactorizedSet::weighted_apply_block (the implicit Psi).
   /// Its `plan` member is the second way to hand a transpose KernelPlan to
   /// the sweep: set it on a shared workspace to pin the plan for every
@@ -187,18 +138,11 @@ BigDotExpResult big_dot_exp(const linalg::SymmetricOp& phi,
 /// nothing once the workspace is warm. The convenience overloads delegate
 /// here with a private workspace. Results are identical to a fresh
 /// workspace: every buffer is fully overwritten per call.
-///
-/// `phi_block_f`, when non-null and non-empty, is the float32 panel form of
-/// Phi serving the mixed-precision sketch mode (see
-/// BigDotExpOptions::panel_precision); the double operators still serve
-/// every other path, including the fallback when a float32 request fails a
-/// gate.
 void big_dot_exp(const linalg::SymmetricOp& phi,
                  const linalg::BlockOp& phi_block, Index dim, Real kappa,
                  const sparse::FactorizedSet& as,
                  const BigDotExpOptions& options, SolverWorkspace& workspace,
-                 BigDotExpResult& result,
-                 const linalg::BlockOpF* phi_block_f = nullptr);
+                 BigDotExpResult& result);
 
 /// Sharded workspace form: the constraint set arrives with its shard
 /// partition. With one shard this is byte-for-byte the unsharded call
@@ -213,8 +157,7 @@ void big_dot_exp(const linalg::SymmetricOp& phi,
                  const linalg::BlockOp& phi_block, Index dim, Real kappa,
                  const sparse::ShardedFactorizedSet& as,
                  const BigDotExpOptions& options, SolverWorkspace& workspace,
-                 BigDotExpResult& result,
-                 const linalg::BlockOpF* phi_block_f = nullptr);
+                 BigDotExpResult& result);
 
 /// Convenience overload: Phi given as a sparse CSR matrix (native SpMV and
 /// SpMM kernels). If kappa <= 0 it is estimated with power iteration

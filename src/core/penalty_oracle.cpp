@@ -127,10 +127,6 @@ SketchedTaylorOracle::SketchedTaylorOracle(
   psi_block_op_ = [&set, this](const linalg::Matrix& v, linalg::Matrix& y) {
     set.weighted_apply_block(x_work_, v, y, workspace_->factor);
   };
-  psi_block_op_f_ = [&set, this](const linalg::MatrixF& v,
-                                 linalg::MatrixF& y) {
-    set.weighted_apply_block_f(x_work_, v, y, workspace_->factor);
-  };
 }
 
 Real SketchedTaylorOracle::constraint_lambda_max(Index i) const {
@@ -220,7 +216,7 @@ void SketchedTaylorOracle::compute(const Vector& x, std::uint64_t round,
   // Routed through the sharded overload: one shard is byte-for-byte the
   // legacy path; K > 1 engages the deterministic per-shard sweeps.
   big_dot_exp(psi_op_, psi_block_op_, dim(), kappa, instance_->sharded(),
-              round_options, *workspace_, result_, &psi_block_op_f_);
+              round_options, *workspace_, result_);
   // Hand the caller the fresh dots by swapping storage: the batch keeps a
   // same-sized buffer across rounds, so neither side reallocates.
   std::swap(out.dots, result_.dots);

@@ -239,11 +239,6 @@ class SketchedTaylorOracle final : public PenaltyOracle {
   BigDotExpResult result_;
   linalg::SymmetricOp psi_op_;
   linalg::BlockOp psi_block_op_;
-  /// Float32 panel form of the implicit Psi, handed to big_dot_exp for the
-  /// mixed-precision sketch mode (engaged only when
-  /// dot_options.panel_precision requests it and every gate holds; see
-  /// BigDotExpOptions::panel_precision). Always built -- it is one closure.
-  linalg::BlockOpF psi_block_op_f_;
 };
 
 /// Exact scalar oracle for positive LPs: A_i = diag(P_{.,i}) collapses the

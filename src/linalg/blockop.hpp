@@ -22,7 +22,6 @@
 #include <functional>
 
 #include "linalg/matrix.hpp"
-#include "linalg/matrixf.hpp"
 #include "linalg/power.hpp"
 
 namespace psdp::linalg {
@@ -31,12 +30,6 @@ namespace psdp::linalg {
 /// y(:, t) = A x(:, t) for every column t. Implementations may assume
 /// x and y do not alias and must resize y to x's shape if needed.
 using BlockOp = std::function<void(const Matrix& x, Matrix& y)>;
-
-/// Float32 panel operator of the mixed-precision sketch mode: same
-/// contract as BlockOp over MatrixF panels. Only the sketch/Taylor panels
-/// run in float; every certificate-bearing quantity stays double (see
-/// BigDotExpOptions::panel_precision).
-using BlockOpF = std::function<void(const MatrixF& x, MatrixF& y)>;
 
 /// Fallback adapter: applies a single-vector operator column by column.
 /// Correct for any SymmetricOp but amortizes nothing; real data structures

@@ -72,32 +72,6 @@ void apply_exp_taylor_block(const BlockOp& op, Index degree, const Matrix& x,
   par::CostMeter::add_depth(static_cast<std::uint64_t>(degree - 1));
 }
 
-void apply_exp_taylor_block_f(const BlockOpF& op, Index degree,
-                              const MatrixF& x, MatrixF& y,
-                              TaylorBlockWorkspaceF& workspace,
-                              float op_scale) {
-  PSDP_CHECK(degree >= 1, "apply_exp_taylor_block_f: degree must be >= 1");
-  PSDP_CHECK(x.cols() >= 1,
-             "apply_exp_taylor_block_f: panel must be non-empty");
-  const Index n = x.rows();
-  const Index b = x.cols();
-  workspace.term = x;
-  y = x;
-  workspace.next.reshape(n, b);
-  const simd::KernelTable& kt = simd::active_kernels();
-  for (Index j = 1; j < degree; ++j) {
-    op(workspace.term, workspace.next);
-    const float s = op_scale / static_cast<float>(j);
-    par::parallel_for_chunked(0, n * b, [&](Index lo, Index hi) {
-      kt.taylor_step_f(workspace.next.data(), y.data(), s, lo, hi);
-    }, /*grain=*/8192);
-    std::swap(workspace.term, workspace.next);
-  }
-  par::CostMeter::add_work(
-      static_cast<std::uint64_t>(3 * n * b * (degree - 1)));
-  par::CostMeter::add_depth(static_cast<std::uint64_t>(degree - 1));
-}
-
 void apply_exp_taylor_block(const BlockOp& op, Index degree, const Matrix& x,
                             Matrix& y) {
   TaylorBlockWorkspace workspace;

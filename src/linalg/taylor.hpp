@@ -50,23 +50,6 @@ void apply_exp_taylor_block(const BlockOp& op, Index degree, const Matrix& x,
 void apply_exp_taylor_block(const BlockOp& op, Index degree, const Matrix& x,
                             Matrix& y);
 
-/// Float32 scratch panels of the mixed-precision recurrence.
-struct TaylorBlockWorkspaceF {
-  MatrixF term;
-  MatrixF next;
-};
-
-/// Float32 twin of apply_exp_taylor_block for the mixed-precision sketch
-/// mode (BigDotExpOptions::panel_precision): the recurrence runs entirely
-/// on float panels through a float BlockOp; downstream dot reductions
-/// compensate in double (simd::KernelTable::sum_sq_f). Deterministic per
-/// ISA. The JL-noise margin argument (docs/noisy_oracle_margin.md) is what
-/// licenses the precision drop; callers gate on eps accordingly.
-void apply_exp_taylor_block_f(const BlockOpF& op, Index degree,
-                              const MatrixF& x, MatrixF& y,
-                              TaylorBlockWorkspaceF& workspace,
-                              float op_scale = 1);
-
 /// Dense form of the truncated series, for tests and small instances.
 Matrix exp_taylor_matrix(const Matrix& b, Index degree);
 

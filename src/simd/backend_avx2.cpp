@@ -1,4 +1,4 @@
-// AVX2 + FMA backend: 256-bit lanes (4 doubles / 8 floats). Compiled with
+// AVX2 + FMA backend: 256-bit lanes (4 doubles). Compiled with
 // -mavx2 -mfma via per-file flags in CMakeLists.txt; only dispatch.cpp
 // calls into it, and only after __builtin_cpu_supports confirms the CPU.
 

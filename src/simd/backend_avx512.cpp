@@ -1,4 +1,4 @@
-// AVX-512F backend: 512-bit lanes (8 doubles / 16 floats). Compiled with
+// AVX-512F backend: 512-bit lanes (8 doubles). Compiled with
 // -mavx512f -mavx512dq -mavx512vl -mfma via per-file flags in
 // CMakeLists.txt; dispatched only after __builtin_cpu_supports("avx512f").
 

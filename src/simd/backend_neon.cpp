@@ -1,4 +1,4 @@
-// NEON backend: 128-bit lanes (2 doubles / 4 floats). Built only on
+// NEON backend: 128-bit lanes (2 doubles). Built only on
 // aarch64 targets (see CMakeLists.txt), where NEON is architecturally
 // guaranteed -- no runtime feature probe needed beyond the platform check.
 

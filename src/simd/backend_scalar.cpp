@@ -8,65 +8,60 @@
 // Isa::kScalar therefore reproduces the pre-PR solver trajectories
 // bit-for-bit (tests/test_simd.cpp pins this against inlined copies of
 // the original loops).
-//
-// The float kernels are new with the mixed-precision mode (no pre-PR
-// anchor); they mirror the double loops with plain float multiply+add so
-// the backend stays internally consistent.
 
 #include <algorithm>
 #include <cmath>
 
-#include "simd/detail.hpp"
 #include "simd/kernel_table.hpp"
 
 namespace psdp::simd {
 namespace scalar {
 namespace {
 
-template <typename T, int B>
-void gather_columns(const Index* offsets, const Index* rows, const T* values,
-                    Index jb, Index je, const T* x, T* y) {
+template <int B>
+void gather_columns(const Index* offsets, const Index* rows,
+                    const double* values, Index jb, Index je, const double* x,
+                    double* y) {
   for (Index j = jb; j < je; ++j) {
-    T acc[B] = {};
+    double acc[B] = {};
     const Index b0 = offsets[j];
     const Index e0 = offsets[j + 1];
     for (Index e = b0; e < e0; ++e) {
-      const T v = values[e];
-      const T* in = x + rows[e] * B;
+      const double v = values[e];
+      const double* in = x + rows[e] * B;
       for (int t = 0; t < B; ++t) acc[t] += v * in[t];
     }
-    T* out = y + j * B;
+    double* out = y + j * B;
     for (int t = 0; t < B; ++t) out[t] = acc[t];
   }
 }
 
-template <typename T>
 void gather_columns_any(const Index* offsets, const Index* rows,
-                        const T* values, Index jb, Index je, Index b,
-                        const T* x, T* y) {
+                        const double* values, Index jb, Index je, Index b,
+                        const double* x, double* y) {
   for (Index j = jb; j < je; ++j) {
-    T* out = y + j * b;
-    std::fill(out, out + b, T{0});
+    double* out = y + j * b;
+    std::fill(out, out + b, 0.0);
     const Index b0 = offsets[j];
     const Index e0 = offsets[j + 1];
     for (Index e = b0; e < e0; ++e) {
-      const T v = values[e];
-      const T* in = x + rows[e] * b;
+      const double v = values[e];
+      const double* in = x + rows[e] * b;
       for (Index t = 0; t < b; ++t) out[t] += v * in[t];
     }
   }
 }
 
-template <typename T>
-void gather_dispatch(const Index* offsets, const Index* rows, const T* values,
-                     Index jb, Index je, Index b, const T* x, T* y) {
+void s_gather_panel(const Index* offsets, const Index* rows,
+                    const double* values, Index jb, Index je, Index b,
+                    const double* x, double* y) {
   switch (b) {
-    case 1: gather_columns<T, 1>(offsets, rows, values, jb, je, x, y); break;
-    case 2: gather_columns<T, 2>(offsets, rows, values, jb, je, x, y); break;
-    case 4: gather_columns<T, 4>(offsets, rows, values, jb, je, x, y); break;
-    case 8: gather_columns<T, 8>(offsets, rows, values, jb, je, x, y); break;
-    case 16: gather_columns<T, 16>(offsets, rows, values, jb, je, x, y); break;
-    case 32: gather_columns<T, 32>(offsets, rows, values, jb, je, x, y); break;
+    case 1: gather_columns<1>(offsets, rows, values, jb, je, x, y); break;
+    case 2: gather_columns<2>(offsets, rows, values, jb, je, x, y); break;
+    case 4: gather_columns<4>(offsets, rows, values, jb, je, x, y); break;
+    case 8: gather_columns<8>(offsets, rows, values, jb, je, x, y); break;
+    case 16: gather_columns<16>(offsets, rows, values, jb, je, x, y); break;
+    case 32: gather_columns<32>(offsets, rows, values, jb, je, x, y); break;
     default: gather_columns_any(offsets, rows, values, jb, je, b, x, y); break;
   }
 }
@@ -124,56 +119,43 @@ void gather_columns_window_any(const Index* seg_starts, Index s0, Index s1,
   }
 }
 
-template <typename T>
-void spmm_rows_impl(const Index* offsets, const Index* cols, const T* values,
-                    Index ib, Index ie, Index b, const T* x, T* y) {
+void s_spmm_rows(const Index* offsets, const Index* cols, const double* values,
+                 Index ib, Index ie, Index b, const double* x, double* y) {
   for (Index i = ib; i < ie; ++i) {
-    T* out = y + i * b;
-    std::fill(out, out + b, T{0});
+    double* out = y + i * b;
+    std::fill(out, out + b, 0.0);
     const Index e0 = offsets[i];
     const Index e1 = offsets[i + 1];
     for (Index e = e0; e < e1; ++e) {
-      const T v = values[e];
-      const T* in = x + cols[e] * b;
+      const double v = values[e];
+      const double* in = x + cols[e] * b;
       for (Index t = 0; t < b; ++t) out[t] += v * in[t];
     }
   }
 }
 
-template <typename T>
-void scatter_rows_impl(const Index* offsets, const Index* cols,
-                       const T* values, Index ib, Index ie, Index b,
-                       const T* x, T* y) {
+void s_scatter_rows(const Index* offsets, const Index* cols,
+                    const double* values, Index ib, Index ie, Index b,
+                    const double* x, double* y) {
   for (Index i = ib; i < ie; ++i) {
-    const T* in = x + i * b;
+    const double* in = x + i * b;
     const Index e0 = offsets[i];
     const Index e1 = offsets[i + 1];
     for (Index e = e0; e < e1; ++e) {
-      T* row = y + cols[e] * b;
-      const T v = values[e];
+      double* row = y + cols[e] * b;
+      const double v = values[e];
       for (Index t = 0; t < b; ++t) row[t] += v * in[t];
     }
   }
 }
 
-template <typename T>
-void taylor_step_impl(T* next, T* y, T scale, Index lo, Index hi) {
+void s_taylor_step(double* next, double* y, double scale, Index lo,
+                   Index hi) {
   for (Index i = lo; i < hi; ++i) {
-    const T v = next[i] * scale;
+    const double v = next[i] * scale;
     next[i] = v;
     y[i] += v;
   }
-}
-
-void s_spmm_rows(const Index* offsets, const Index* cols, const double* values,
-                 Index ib, Index ie, Index b, const double* x, double* y) {
-  spmm_rows_impl(offsets, cols, values, ib, ie, b, x, y);
-}
-
-void s_gather_panel(const Index* offsets, const Index* rows,
-                    const double* values, Index jb, Index je, Index b,
-                    const double* x, double* y) {
-  gather_dispatch(offsets, rows, values, jb, je, b, x, y);
 }
 
 void s_gather_window(const Index* seg_starts, Index s0, Index s1, Index cols,
@@ -211,43 +193,10 @@ void s_gather_window(const Index* seg_starts, Index s0, Index s1, Index cols,
   }
 }
 
-void s_scatter_rows(const Index* offsets, const Index* cols,
-                    const double* values, Index ib, Index ie, Index b,
-                    const double* x, double* y) {
-  scatter_rows_impl(offsets, cols, values, ib, ie, b, x, y);
-}
-
-void s_taylor_step(double* next, double* y, double scale, Index lo,
-                   Index hi) {
-  taylor_step_impl(next, y, scale, lo, hi);
-}
-
 double s_sum_sq(const double* x, Index n) {
   double acc = 0;
   for (Index i = 0; i < n; ++i) acc += x[i] * x[i];
   return acc;
-}
-
-void s_spmm_rows_f(const Index* offsets, const Index* cols,
-                   const float* values, Index ib, Index ie, Index b,
-                   const float* x, float* y) {
-  spmm_rows_impl(offsets, cols, values, ib, ie, b, x, y);
-}
-
-void s_gather_panel_f(const Index* offsets, const Index* rows,
-                      const float* values, Index jb, Index je, Index b,
-                      const float* x, float* y) {
-  gather_dispatch(offsets, rows, values, jb, je, b, x, y);
-}
-
-void s_scatter_rows_f(const Index* offsets, const Index* cols,
-                      const float* values, Index ib, Index ie, Index b,
-                      const float* x, float* y) {
-  scatter_rows_impl(offsets, cols, values, ib, ie, b, x, y);
-}
-
-void s_taylor_step_f(float* next, float* y, float scale, Index lo, Index hi) {
-  taylor_step_impl(next, y, scale, lo, hi);
 }
 
 }  // namespace
@@ -262,12 +211,6 @@ const KernelTable* scalar_kernel_table() {
     t.scatter_rows = &scalar::s_scatter_rows;
     t.taylor_step = &scalar::s_taylor_step;
     t.sum_sq = &scalar::s_sum_sq;
-    t.spmm_rows_f = &scalar::s_spmm_rows_f;
-    t.gather_panel_f = &scalar::s_gather_panel_f;
-    t.scatter_rows_f = &scalar::s_scatter_rows_f;
-    t.taylor_step_f = &scalar::s_taylor_step_f;
-    t.sum_sq_f = &detail::compensated_sum_sq_f;
-    t.convert_d2f = &detail::convert_panel_d2f;
     return t;
   }();
   return &table;

@@ -23,8 +23,6 @@ namespace psdp::simd {
 
 /// The kernels one backend provides. All pointers are always non-null.
 struct KernelTable {
-  // --- double-precision kernels -----------------------------------------
-
   /// Row-range SpMM: for each row i in [ib, ie), y[i*b .. i*b+b) =
   /// sum over the row's entries of values[k] * x[cols[k]*b ..). Overwrites
   /// the output rows. b = 1 is the SpMV inner body.
@@ -68,36 +66,6 @@ struct KernelTable {
   /// backends (fixed combine order, deterministic per ISA; differs from
   /// the scalar chain by reassociation only).
   double (*sum_sq)(const double* x, Index n);
-
-  // --- float32 panel kernels (mixed-precision sketch mode) --------------
-
-  /// spmm_rows over float values and panels.
-  void (*spmm_rows_f)(const Index* offsets, const Index* cols,
-                      const float* values, Index ib, Index ie, Index b,
-                      const float* x, float* y);
-
-  /// gather_panel over float values and panels.
-  void (*gather_panel_f)(const Index* offsets, const Index* rows,
-                         const float* values, Index jb, Index je, Index b,
-                         const float* x, float* y);
-
-  /// scatter_rows over float values and panels.
-  void (*scatter_rows_f)(const Index* offsets, const Index* cols,
-                         const float* values, Index ib, Index ie, Index b,
-                         const float* x, float* y);
-
-  /// taylor_step over float panels.
-  void (*taylor_step_f)(float* next, float* y, float scale, Index lo,
-                        Index hi);
-
-  /// Compensated (Neumaier) double-precision sum of squares of a float
-  /// panel: each product double(x[i]) * double(x[i]) is exact, the running
-  /// sum carries a compensation term. Identical code in every backend, so
-  /// the float dot reductions agree bitwise across ISAs.
-  double (*sum_sq_f)(const float* x, Index n);
-
-  /// dst[i] = float(src[i]) for i in [0, n) (panel down-conversion).
-  void (*convert_d2f)(const double* src, float* dst, Index n);
 };
 
 }  // namespace psdp::simd

@@ -2,12 +2,12 @@
 //
 // Included by each vector backend TU after simd/vec.hpp (and thus after
 // PSDP_SIMD_NS is defined); the kernels compile against that backend's
-// VecD/VecF and land in the same per-backend namespace. make_kernel_table()
+// VecD and land in the same per-backend namespace. make_kernel_table()
 // at the bottom assembles the KernelTable a backend exports.
 //
 // Determinism (the contract of simd/simd.hpp): every per-element update in
-// every kernel here is a fused multiply-add -- Vec*::fma on whole lanes,
-// fma_s/fma_sf on remainders -- so within one backend all kernels reduce a
+// every kernel here is a fused multiply-add -- VecD::fma on whole lanes,
+// fma_s on remainders -- so within one backend all kernels reduce a
 // given output element through the same operation chain, preserving the
 // sparse layer's cross-kernel bitwise guarantees. taylor_step is the one
 // deliberate exception: it stores the rounded product before adding (it
@@ -19,9 +19,7 @@
 #endif
 
 #include <algorithm>
-#include <type_traits>
 
-#include "simd/detail.hpp"
 #include "simd/kernel_table.hpp"
 
 namespace psdp::simd::PSDP_SIMD_NS {
@@ -30,26 +28,22 @@ namespace impl {
 
 /// acc[0..b) += v * in[0..b): whole lanes fused, remainder scalar-fused.
 /// The shared per-element primitive of the runtime-width kernels.
-template <typename V, typename T>
-inline void axpy_panel(T* acc, T v, const T* in, Index b) {
+template <typename V>
+inline void axpy_panel(double* acc, double v, const double* in, Index b) {
   constexpr Index kL = V::kLanes;
   const V vv = V::broadcast(v);
   Index t = 0;
   for (; t + kL <= b; t += kL) {
     V::fma(vv, V::load(in + t), V::load(acc + t)).store(acc + t);
   }
-  if constexpr (std::is_same_v<T, double>) {
-    for (; t < b; ++t) acc[t] = fma_s(v, in[t], acc[t]);
-  } else {
-    for (; t < b; ++t) acc[t] = fma_sf(v, in[t], acc[t]);
-  }
+  for (; t < b; ++t) acc[t] = fma_s(v, in[t], acc[t]);
 }
 
 /// Software-prefetch one b-wide panel row (one fetch per 64-byte line).
-template <typename T, int B>
-inline void prefetch_row(const T* in) {
+template <int B>
+inline void prefetch_row(const double* in) {
 #if defined(__GNUC__) || defined(__clang__)
-  constexpr int kStride = static_cast<int>(64 / sizeof(T));
+  constexpr int kStride = static_cast<int>(64 / sizeof(double));
   for (int t = 0; t < B; t += kStride) __builtin_prefetch(in + t, 0, 1);
 #else
   (void)in;
@@ -62,9 +56,9 @@ constexpr Index kGatherPrefetch = 12;
 
 // --- CSC gather --------------------------------------------------------
 
-template <typename V, typename T, int B>
-void gather_w(const Index* offsets, const Index* rows, const T* values,
-              Index jb, Index je, const T* x, T* y) {
+template <typename V, int B>
+void gather_w(const Index* offsets, const Index* rows, const double* values,
+              Index jb, Index je, const double* x, double* y) {
   constexpr Index kL = V::kLanes;
   if constexpr (B >= kL) {
     constexpr int kNV = B / kL;  // widths and lane counts are powers of two
@@ -75,40 +69,36 @@ void gather_w(const Index* offsets, const Index* rows, const T* values,
       const Index e1 = offsets[j + 1];
       for (Index e = e0; e < e1; ++e) {
         const V vv = V::broadcast(values[e]);
-        const T* in = x + rows[e] * B;
+        const double* in = x + rows[e] * B;
         for (int q = 0; q < kNV; ++q) {
           acc[q] = V::fma(vv, V::load(in + q * kL), acc[q]);
         }
       }
-      T* out = y + j * B;
+      double* out = y + j * B;
       for (int q = 0; q < kNV; ++q) acc[q].store(out + q * kL);
     }
   } else {
     for (Index j = jb; j < je; ++j) {
-      T acc[B] = {};
+      double acc[B] = {};
       const Index e0 = offsets[j];
       const Index e1 = offsets[j + 1];
       for (Index e = e0; e < e1; ++e) {
-        const T v = values[e];
-        const T* in = x + rows[e] * B;
-        if constexpr (std::is_same_v<T, double>) {
-          for (int t = 0; t < B; ++t) acc[t] = fma_s(v, in[t], acc[t]);
-        } else {
-          for (int t = 0; t < B; ++t) acc[t] = fma_sf(v, in[t], acc[t]);
-        }
+        const double v = values[e];
+        const double* in = x + rows[e] * B;
+        for (int t = 0; t < B; ++t) acc[t] = fma_s(v, in[t], acc[t]);
       }
-      T* out = y + j * B;
+      double* out = y + j * B;
       for (int t = 0; t < B; ++t) out[t] = acc[t];
     }
   }
 }
 
-template <typename V, typename T>
-void gather_any(const Index* offsets, const Index* rows, const T* values,
-                Index jb, Index je, Index b, const T* x, T* y) {
+template <typename V>
+void gather_any(const Index* offsets, const Index* rows, const double* values,
+                Index jb, Index je, Index b, const double* x, double* y) {
   for (Index j = jb; j < je; ++j) {
-    T* out = y + j * b;
-    std::fill(out, out + b, T{0});
+    double* out = y + j * b;
+    std::fill(out, out + b, 0.0);
     const Index e0 = offsets[j];
     const Index e1 = offsets[j + 1];
     for (Index e = e0; e < e1; ++e) {
@@ -117,16 +107,17 @@ void gather_any(const Index* offsets, const Index* rows, const T* values,
   }
 }
 
-template <typename V, typename T>
-void gather_dispatch(const Index* offsets, const Index* rows, const T* values,
-                     Index jb, Index je, Index b, const T* x, T* y) {
+template <typename V>
+void gather_dispatch(const Index* offsets, const Index* rows,
+                     const double* values, Index jb, Index je, Index b,
+                     const double* x, double* y) {
   switch (b) {
-    case 1: gather_w<V, T, 1>(offsets, rows, values, jb, je, x, y); break;
-    case 2: gather_w<V, T, 2>(offsets, rows, values, jb, je, x, y); break;
-    case 4: gather_w<V, T, 4>(offsets, rows, values, jb, je, x, y); break;
-    case 8: gather_w<V, T, 8>(offsets, rows, values, jb, je, x, y); break;
-    case 16: gather_w<V, T, 16>(offsets, rows, values, jb, je, x, y); break;
-    case 32: gather_w<V, T, 32>(offsets, rows, values, jb, je, x, y); break;
+    case 1: gather_w<V, 1>(offsets, rows, values, jb, je, x, y); break;
+    case 2: gather_w<V, 2>(offsets, rows, values, jb, je, x, y); break;
+    case 4: gather_w<V, 4>(offsets, rows, values, jb, je, x, y); break;
+    case 8: gather_w<V, 8>(offsets, rows, values, jb, je, x, y); break;
+    case 16: gather_w<V, 16>(offsets, rows, values, jb, je, x, y); break;
+    case 32: gather_w<V, 32>(offsets, rows, values, jb, je, x, y); break;
     default: gather_any<V>(offsets, rows, values, jb, je, b, x, y); break;
   }
 }
@@ -150,7 +141,7 @@ void gather_window_w(const Index* seg_starts, Index s0, Index s1, Index cols,
       for (Index e = e0; e < e1; ++e) {
         if constexpr (B >= 4) {
           if (e + kGatherPrefetch < e1) {
-            prefetch_row<double, B>(x + rows[e + kGatherPrefetch] * B);
+            prefetch_row<B>(x + rows[e + kGatherPrefetch] * B);
           }
         }
         const V vv = V::broadcast(values[e]);
@@ -190,48 +181,44 @@ void gather_window_any(const Index* seg_starts, Index s0, Index s1,
 
 // --- row-range SpMM ----------------------------------------------------
 
-template <typename V, typename T, int B>
-void spmm_w(const Index* offsets, const Index* cols, const T* values,
-            Index ib, Index ie, const T* x, T* y) {
+template <typename V, int B>
+void spmm_w(const Index* offsets, const Index* cols, const double* values,
+            Index ib, Index ie, const double* x, double* y) {
   constexpr Index kL = V::kLanes;
   for (Index i = ib; i < ie; ++i) {
     const Index e0 = offsets[i];
     const Index e1 = offsets[i + 1];
-    T* out = y + i * B;
+    double* out = y + i * B;
     if constexpr (B >= kL) {
       constexpr int kNV = B / kL;
       V acc[kNV];
       for (int q = 0; q < kNV; ++q) acc[q] = V::zero();
       for (Index e = e0; e < e1; ++e) {
         const V vv = V::broadcast(values[e]);
-        const T* in = x + cols[e] * B;
+        const double* in = x + cols[e] * B;
         for (int q = 0; q < kNV; ++q) {
           acc[q] = V::fma(vv, V::load(in + q * kL), acc[q]);
         }
       }
       for (int q = 0; q < kNV; ++q) acc[q].store(out + q * kL);
     } else {
-      T acc[B] = {};
+      double acc[B] = {};
       for (Index e = e0; e < e1; ++e) {
-        const T v = values[e];
-        const T* in = x + cols[e] * B;
-        if constexpr (std::is_same_v<T, double>) {
-          for (int t = 0; t < B; ++t) acc[t] = fma_s(v, in[t], acc[t]);
-        } else {
-          for (int t = 0; t < B; ++t) acc[t] = fma_sf(v, in[t], acc[t]);
-        }
+        const double v = values[e];
+        const double* in = x + cols[e] * B;
+        for (int t = 0; t < B; ++t) acc[t] = fma_s(v, in[t], acc[t]);
       }
       for (int t = 0; t < B; ++t) out[t] = acc[t];
     }
   }
 }
 
-template <typename V, typename T>
-void spmm_any(const Index* offsets, const Index* cols, const T* values,
-              Index ib, Index ie, Index b, const T* x, T* y) {
+template <typename V>
+void spmm_any(const Index* offsets, const Index* cols, const double* values,
+              Index ib, Index ie, Index b, const double* x, double* y) {
   for (Index i = ib; i < ie; ++i) {
-    T* out = y + i * b;
-    std::fill(out, out + b, T{0});
+    double* out = y + i * b;
+    std::fill(out, out + b, 0.0);
     const Index e0 = offsets[i];
     const Index e1 = offsets[i + 1];
     for (Index e = e0; e < e1; ++e) {
@@ -240,27 +227,28 @@ void spmm_any(const Index* offsets, const Index* cols, const T* values,
   }
 }
 
-template <typename V, typename T>
-void spmm_dispatch(const Index* offsets, const Index* cols, const T* values,
-                   Index ib, Index ie, Index b, const T* x, T* y) {
+template <typename V>
+void spmm_dispatch(const Index* offsets, const Index* cols,
+                   const double* values, Index ib, Index ie, Index b,
+                   const double* x, double* y) {
   switch (b) {
-    case 1: spmm_w<V, T, 1>(offsets, cols, values, ib, ie, x, y); break;
-    case 2: spmm_w<V, T, 2>(offsets, cols, values, ib, ie, x, y); break;
-    case 4: spmm_w<V, T, 4>(offsets, cols, values, ib, ie, x, y); break;
-    case 8: spmm_w<V, T, 8>(offsets, cols, values, ib, ie, x, y); break;
-    case 16: spmm_w<V, T, 16>(offsets, cols, values, ib, ie, x, y); break;
-    case 32: spmm_w<V, T, 32>(offsets, cols, values, ib, ie, x, y); break;
+    case 1: spmm_w<V, 1>(offsets, cols, values, ib, ie, x, y); break;
+    case 2: spmm_w<V, 2>(offsets, cols, values, ib, ie, x, y); break;
+    case 4: spmm_w<V, 4>(offsets, cols, values, ib, ie, x, y); break;
+    case 8: spmm_w<V, 8>(offsets, cols, values, ib, ie, x, y); break;
+    case 16: spmm_w<V, 16>(offsets, cols, values, ib, ie, x, y); break;
+    case 32: spmm_w<V, 32>(offsets, cols, values, ib, ie, x, y); break;
     default: spmm_any<V>(offsets, cols, values, ib, ie, b, x, y); break;
   }
 }
 
 // --- row-range transpose scatter ---------------------------------------
 
-template <typename V, typename T>
-void scatter_impl(const Index* offsets, const Index* cols, const T* values,
-                  Index ib, Index ie, Index b, const T* x, T* y) {
+template <typename V>
+void scatter_impl(const Index* offsets, const Index* cols, const double* values,
+                  Index ib, Index ie, Index b, const double* x, double* y) {
   for (Index i = ib; i < ie; ++i) {
-    const T* in = x + i * b;
+    const double* in = x + i * b;
     const Index e0 = offsets[i];
     const Index e1 = offsets[i + 1];
     for (Index e = e0; e < e1; ++e) {
@@ -271,8 +259,9 @@ void scatter_impl(const Index* offsets, const Index* cols, const T* values,
 
 // --- fused Taylor step (no contraction: matches the scalar chain) ------
 
-template <typename V, typename T>
-void taylor_step_impl(T* next, T* y, T scale, Index lo, Index hi) {
+template <typename V>
+void taylor_step_impl(double* next, double* y, double scale, Index lo,
+                      Index hi) {
   constexpr Index kL = V::kLanes;
   const V vs = V::broadcast(scale);
   Index i = lo;
@@ -282,7 +271,7 @@ void taylor_step_impl(T* next, T* y, T scale, Index lo, Index hi) {
     V::add(V::load(y + i), v).store(y + i);
   }
   for (; i < hi; ++i) {
-    const T v = next[i] * scale;
+    const double v = next[i] * scale;
     next[i] = v;
     y[i] += v;
   }
@@ -374,29 +363,6 @@ inline double k_sum_sq(const double* x, Index n) {
   return impl::sum_sq_impl<VecD>(x, n);
 }
 
-inline void k_spmm_rows_f(const Index* offsets, const Index* cols,
-                          const float* values, Index ib, Index ie, Index b,
-                          const float* x, float* y) {
-  impl::spmm_dispatch<VecF>(offsets, cols, values, ib, ie, b, x, y);
-}
-
-inline void k_gather_panel_f(const Index* offsets, const Index* rows,
-                             const float* values, Index jb, Index je, Index b,
-                             const float* x, float* y) {
-  impl::gather_dispatch<VecF>(offsets, rows, values, jb, je, b, x, y);
-}
-
-inline void k_scatter_rows_f(const Index* offsets, const Index* cols,
-                             const float* values, Index ib, Index ie, Index b,
-                             const float* x, float* y) {
-  impl::scatter_impl<VecF>(offsets, cols, values, ib, ie, b, x, y);
-}
-
-inline void k_taylor_step_f(float* next, float* y, float scale, Index lo,
-                            Index hi) {
-  impl::taylor_step_impl<VecF>(next, y, scale, lo, hi);
-}
-
 inline KernelTable make_kernel_table() {
   KernelTable table;
   table.spmm_rows = &k_spmm_rows;
@@ -405,12 +371,6 @@ inline KernelTable make_kernel_table() {
   table.scatter_rows = &k_scatter_rows;
   table.taylor_step = &k_taylor_step;
   table.sum_sq = &k_sum_sq;
-  table.spmm_rows_f = &k_spmm_rows_f;
-  table.gather_panel_f = &k_gather_panel_f;
-  table.scatter_rows_f = &k_scatter_rows_f;
-  table.taylor_step_f = &k_taylor_step_f;
-  table.sum_sq_f = &detail::compensated_sum_sq_f;
-  table.convert_d2f = &detail::convert_panel_d2f;
   return table;
 }
 

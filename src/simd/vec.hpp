@@ -1,16 +1,16 @@
-// Fixed-width vector wrappers simd::VecD / simd::VecF.
+// Fixed-width vector wrapper simd::VecD.
 //
 // Included by each backend translation unit AFTER defining PSDP_SIMD_NS to
-// the backend's namespace (avx2, avx512, neon, fallback); the wrapper types
-// land in psdp::simd::<ns> so every backend can be linked into one binary
+// the backend's namespace (avx2, avx512, neon, fallback); the wrapper type
+// lands in psdp::simd::<ns> so every backend can be linked into one binary
 // without ODR collisions. The implementation is chosen from the
 // architecture macros the backend's per-file compile flags set (-mavx2,
 // -mavx512f, aarch64 NEON), so the same header serves all of them.
 //
-// Each wrapper exposes the same tiny surface: kLanes, load/store
-// (unaligned), broadcast, zero, add, mul, and fma (fused: one rounding).
-// The scalar helpers fma_s / fma_sf are the single-element twin of
-// Vec*::fma -- remainder loops use them so a backend applies exactly one
+// Each variant exposes the same tiny surface: kLanes, load/store
+// (unaligned), broadcast, zero, add, mul, fma (fused: one rounding), and
+// hsum. The scalar helper fma_s is the single-element twin of
+// VecD::fma -- remainder loops use it so a backend applies exactly one
 // per-element operation chain everywhere (the determinism contract of
 // simd/simd.hpp).
 #pragma once
@@ -55,22 +55,7 @@ struct VecD {
   }
 };
 
-struct VecF {
-  static constexpr int kLanes = 16;
-  __m512 v;
-  static VecF load(const float* p) { return {_mm512_loadu_ps(p)}; }
-  void store(float* p) const { _mm512_storeu_ps(p, v); }
-  static VecF broadcast(float x) { return {_mm512_set1_ps(x)}; }
-  static VecF zero() { return {_mm512_setzero_ps()}; }
-  static VecF add(VecF a, VecF b) { return {_mm512_add_ps(a.v, b.v)}; }
-  static VecF mul(VecF a, VecF b) { return {_mm512_mul_ps(a.v, b.v)}; }
-  static VecF fma(VecF a, VecF b, VecF c) {
-    return {_mm512_fmadd_ps(a.v, b.v, c.v)};
-  }
-};
-
 inline double fma_s(double a, double b, double c) { return std::fma(a, b, c); }
-inline float fma_sf(float a, float b, float c) { return std::fmaf(a, b, c); }
 
 #elif defined(__AVX2__)
 
@@ -94,22 +79,7 @@ struct VecD {
   }
 };
 
-struct VecF {
-  static constexpr int kLanes = 8;
-  __m256 v;
-  static VecF load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  void store(float* p) const { _mm256_storeu_ps(p, v); }
-  static VecF broadcast(float x) { return {_mm256_set1_ps(x)}; }
-  static VecF zero() { return {_mm256_setzero_ps()}; }
-  static VecF add(VecF a, VecF b) { return {_mm256_add_ps(a.v, b.v)}; }
-  static VecF mul(VecF a, VecF b) { return {_mm256_mul_ps(a.v, b.v)}; }
-  static VecF fma(VecF a, VecF b, VecF c) {
-    return {_mm256_fmadd_ps(a.v, b.v, c.v)};
-  }
-};
-
 inline double fma_s(double a, double b, double c) { return std::fma(a, b, c); }
-inline float fma_sf(float a, float b, float c) { return std::fmaf(a, b, c); }
 
 #elif defined(__ARM_NEON) || defined(__aarch64__)
 
@@ -128,22 +98,7 @@ struct VecD {
   double hsum() const { return vgetq_lane_f64(v, 0) + vgetq_lane_f64(v, 1); }
 };
 
-struct VecF {
-  static constexpr int kLanes = 4;
-  float32x4_t v;
-  static VecF load(const float* p) { return {vld1q_f32(p)}; }
-  void store(float* p) const { vst1q_f32(p, v); }
-  static VecF broadcast(float x) { return {vdupq_n_f32(x)}; }
-  static VecF zero() { return {vdupq_n_f32(0.0f)}; }
-  static VecF add(VecF a, VecF b) { return {vaddq_f32(a.v, b.v)}; }
-  static VecF mul(VecF a, VecF b) { return {vmulq_f32(a.v, b.v)}; }
-  static VecF fma(VecF a, VecF b, VecF c) {
-    return {vfmaq_f32(c.v, a.v, b.v)};
-  }
-};
-
 inline double fma_s(double a, double b, double c) { return std::fma(a, b, c); }
-inline float fma_sf(float a, float b, float c) { return std::fmaf(a, b, c); }
 
 #else
 
@@ -165,22 +120,7 @@ struct VecD {
   double hsum() const { return v; }
 };
 
-struct VecF {
-  static constexpr int kLanes = 1;
-  float v;
-  static VecF load(const float* p) { return {*p}; }
-  void store(float* p) const { *p = v; }
-  static VecF broadcast(float x) { return {x}; }
-  static VecF zero() { return {0.0f}; }
-  static VecF add(VecF a, VecF b) { return {a.v + b.v}; }
-  static VecF mul(VecF a, VecF b) { return {a.v * b.v}; }
-  static VecF fma(VecF a, VecF b, VecF c) {
-    return {std::fmaf(a.v, b.v, c.v)};
-  }
-};
-
 inline double fma_s(double a, double b, double c) { return std::fma(a, b, c); }
-inline float fma_sf(float a, float b, float c) { return std::fmaf(a, b, c); }
 
 #endif
 

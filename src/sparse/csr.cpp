@@ -453,103 +453,6 @@ void Csr::transpose_segmented(const Matrix& x, Real* y) const {
                             par::reduction_depth(cols_));
 }
 
-void Csr::fill_float_values(std::vector<float>& values_f,
-                            std::vector<float>& t_values_f) const {
-  values_f.resize(values_.size());
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    values_f[i] = static_cast<float>(values_[i]);
-  }
-  if (t_built_) {
-    t_values_f.resize(t_values_.size());
-    for (std::size_t i = 0; i < t_values_.size(); ++i) {
-      t_values_f[i] = static_cast<float>(t_values_[i]);
-    }
-  } else {
-    t_values_f.clear();
-  }
-}
-
-void Csr::apply_block_f(const MatrixF& x, MatrixF& y,
-                        std::span<const float> values_f) const {
-  PSDP_CHECK(x.rows() == cols_, "csr apply_block_f: dimension mismatch");
-  PSDP_CHECK(static_cast<Index>(values_f.size()) == nnz(),
-             "csr apply_block_f: float value copy out of date");
-  const Index b = x.cols();
-  PSDP_CHECK(b >= 1, "csr apply_block_f: panel must have at least one column");
-  y.reshape(rows_, b);
-  const Index grain = std::max<Index>(1, 64 / b);
-  const simd::KernelTable& kt = simd::active_kernels();
-  par::parallel_for_chunked(0, rows_, [&](Index ib, Index ie) {
-    kt.spmm_rows_f(offsets_.data(), columns_.data(), values_f.data(), ib, ie,
-                   b, x.data(), y.data());
-  }, grain);
-  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
-  par::CostMeter::add_depth(par::reduction_depth(cols_));
-}
-
-void Csr::apply_transpose_block_f(const MatrixF& x, MatrixF& y,
-                                  std::span<const float> values_f,
-                                  std::span<const float> t_values_f,
-                                  std::vector<float>& partial) const {
-  y.reshape(cols_, x.cols());
-  apply_transpose_block_f(x, y.data(), values_f, t_values_f, partial);
-}
-
-void Csr::apply_transpose_block_f(const MatrixF& x, float* y,
-                                  std::span<const float> values_f,
-                                  std::span<const float> t_values_f,
-                                  std::vector<float>& partial) const {
-  PSDP_CHECK(x.rows() == rows_,
-             "csr apply_transpose_block_f: dimension mismatch");
-  const Index b = x.cols();
-  PSDP_CHECK(b >= 1,
-             "csr apply_transpose_block_f: panel must have at least one "
-             "column");
-  const simd::KernelTable& kt = simd::active_kernels();
-  if (t_built_) {
-    PSDP_CHECK(static_cast<Index>(t_values_f.size()) == nnz(),
-               "csr apply_transpose_block_f: float CSC copy out of date");
-    const Index avg_work =
-        std::max<Index>(1, (nnz() * b) / std::max<Index>(1, cols_));
-    const Index grain = std::max<Index>(1, 4096 / avg_work);
-    par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
-      kt.gather_panel_f(t_offsets_.data(), t_rows_.data(), t_values_f.data(),
-                        jb, je, b, x.data(), y);
-    }, grain);
-  } else {
-    PSDP_CHECK(static_cast<Index>(values_f.size()) == nnz(),
-               "csr apply_transpose_block_f: float value copy out of date");
-    // Owned-column scatter over row chunks, mirroring transpose_owned
-    // (chunk-order combine, deterministic for a fixed thread count).
-    const Index grain = std::max<Index>(1, 256 / b);
-    const Index max_chunks = std::max<Index>(1, par::num_threads());
-    const Index chunks =
-        std::clamp<Index>((rows_ + grain - 1) / grain, 1, max_chunks);
-    const auto scatter = [&](Index begin, Index end, float* out) {
-      kt.scatter_rows_f(offsets_.data(), columns_.data(), values_f.data(),
-                        begin, end, b, x.data(), out);
-    };
-    if (chunks == 1) {
-      std::fill_n(y, cols_ * b, 0.0f);
-      scatter(0, rows_, y);
-    } else {
-      partial.assign(static_cast<std::size_t>(chunks * cols_ * b), 0);
-      const Index chunk_size = (rows_ + chunks - 1) / chunks;
-      par::global_pool().run_batch(chunks, [&](Index c) {
-        scatter(c * chunk_size, std::min(rows_, (c + 1) * chunk_size),
-                partial.data() + c * cols_ * b);
-      });
-      std::fill_n(y, cols_ * b, 0.0f);
-      for (Index c = 0; c < chunks; ++c) {
-        const float* part = partial.data() + c * cols_ * b;
-        for (Index idx = 0; idx < cols_ * b; ++idx) y[idx] += part[idx];
-      }
-    }
-  }
-  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
-  par::CostMeter::add_depth(par::reduction_depth(rows_));
-}
-
 Csr& Csr::scale(Real s) {
   for (Real& v : values_) v *= s;
   for (Real& v : t_values_) v *= s;  // keep the cached CSC view in sync

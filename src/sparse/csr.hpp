@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "linalg/matrixf.hpp"
 #include "linalg/vector.hpp"
 #include "sparse/kernel_plan.hpp"
 #include "util/common.hpp"
@@ -27,7 +26,6 @@
 namespace psdp::sparse {
 
 using linalg::Matrix;
-using linalg::MatrixF;
 using linalg::Vector;
 
 /// Triplet used by the COO builder.
@@ -200,38 +198,6 @@ class Csr {
   /// window covers the whole matrix this delegates to the plain gather
   /// outright.
   void apply_transpose_block_segmented(const Matrix& x, Matrix& y) const;
-
-  /// Fill float32 copies of the stored values (and of the cached CSC
-  /// values when the transpose index exists; `t_values_f` is left empty
-  /// otherwise). The float panel kernels below take these as parameters
-  /// instead of caching them here, so Csr stays cheaply copyable
-  /// (FactorizedPsd::scaled) and owners control the scratch lifetime --
-  /// FactorizedSet::BlockWorkspace builds the copies once at warmup.
-  void fill_float_values(std::vector<float>& values_f,
-                         std::vector<float>& t_values_f) const;
-
-  /// Float32 twin of apply_block over a cols() x b MatrixF panel, using the
-  /// caller's float value copy (from fill_float_values). Mixed-precision
-  /// sketch mode only (see BigDotExpOptions::panel_precision); results are
-  /// deterministic per ISA but carry float rounding.
-  void apply_block_f(const MatrixF& x, MatrixF& y,
-                     std::span<const float> values_f) const;
-
-  /// Float32 twin of apply_transpose_block: the CSC gather when the
-  /// transpose index exists (t_values_f), the owned-column scatter over
-  /// `partial` chunks otherwise (values_f). No segmented/plan dispatch --
-  /// the float path only runs on factor panels, where the plain gather is
-  /// the right kernel.
-  void apply_transpose_block_f(const MatrixF& x, MatrixF& y,
-                               std::span<const float> values_f,
-                               std::span<const float> t_values_f,
-                               std::vector<float>& partial) const;
-  /// apply_transpose_block_f into the caller's cols() x b row-major
-  /// buffer `y` (a slice of a larger panel).
-  void apply_transpose_block_f(const MatrixF& x, float* y,
-                               std::span<const float> values_f,
-                               std::span<const float> t_values_f,
-                               std::vector<float>& partial) const;
 
   /// Scale all values in place (keeps the cached CSC values in sync).
   Csr& scale(Real s);

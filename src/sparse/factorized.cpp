@@ -121,15 +121,6 @@ void FactorizedPsd::apply_block(const Matrix& x, Matrix& y, Matrix& scratch,
   q_.apply_block(scratch, y);
 }
 
-void FactorizedPsd::apply_block_f(const MatrixF& x, MatrixF& y,
-                                  MatrixF& scratch,
-                                  std::span<const float> values_f,
-                                  std::span<const float> t_values_f,
-                                  std::vector<float>& partial) const {
-  q_.apply_transpose_block_f(x, scratch, values_f, t_values_f, partial);
-  q_.apply_block_f(scratch, y, values_f);
-}
-
 Real FactorizedPsd::dot_dense(const Matrix& s) const {
   PSDP_CHECK(s.rows() == dim() && s.cols() == dim(),
              "dot_dense: dimension mismatch");
@@ -279,13 +270,12 @@ constexpr Index kPhaseBRowBlock = 64;
 
 }  // namespace
 
-template <typename T, typename Transpose, typename RowValues>
-void FactorizedSet::apply_two_phase(
-    const Vector& x, Index b, T* y, std::vector<T>& stack,
-    std::vector<T>& row_scratch,
-    void (*spmm_rows)(const Index*, const Index*, const T*, Index, Index,
-                      Index, const T*, T*),
-    const Transpose& transpose, const RowValues& row_values) const {
+template <typename Transpose>
+void FactorizedSet::apply_two_phase(const Vector& x, Index b, Real* y,
+                                    std::vector<Real>& stack,
+                                    std::vector<Real>& row_scratch,
+                                    const Transpose& transpose) const {
+  const simd::KernelTable& kt = simd::active_kernels();
   Index active_nnz = 0;
   for (Index i = 0; i < size(); ++i) {
     if (x[i] != 0) active_nnz += items_[static_cast<std::size_t>(i)].nnz();
@@ -338,15 +328,15 @@ void FactorizedSet::apply_two_phase(
       const Index row_end = std::min(dim_, row_begin + chunk_rows);
       if (row_begin >= row_end) return;
       if (group == 0) {
-        std::fill(y + row_begin * b, y + row_end * b, T{0});
+        std::fill(y + row_begin * b, y + row_end * b, Real{0});
       }
-      T* s = row_scratch.data() + c * block_rows * b;
+      Real* s = row_scratch.data() + c * block_rows * b;
       for (Index i = group; i < group_end; ++i) {
         if (x[i] == 0) continue;
         const auto ui = static_cast<std::size_t>(i);
         const Csr& q = items_[ui].q();
-        const T* t_i = stack.data() + (col_offsets_[ui] - base) * b;
-        const T w = static_cast<T>(x[i]);
+        const Real* t_i = stack.data() + (col_offsets_[ui] - base) * b;
+        const Real w = x[i];
         const RowRun* run = std::partition_point(
             runs_.data() + run_offsets_[ui], runs_.data() + run_offsets_[ui + 1],
             [&](const RowRun& r) { return Index{r.end} <= row_begin; });
@@ -358,9 +348,9 @@ void FactorizedSet::apply_two_phase(
             const Index rows = std::min(block_rows, hi - r0);
             // The kernel addresses its output by row index, so hand it the
             // offsets from row r0 on: local row j is Q_i's row r0 + j.
-            spmm_rows(q.row_offsets().data() + r0, q.col_indices().data(),
-                      row_values(ui), 0, rows, b, t_i, s);
-            T* yr = y + r0 * b;
+            kt.spmm_rows(q.row_offsets().data() + r0, q.col_indices().data(),
+                         q.values().data(), 0, rows, b, t_i, s);
+            Real* yr = y + r0 * b;
             for (Index e = 0; e < rows * b; ++e) yr[e] += w * s[e];
           }
         }
@@ -385,51 +375,12 @@ void FactorizedSet::weighted_apply_block(const Vector& x, const Matrix& v,
   PSDP_CHECK(v.rows() == dim_, "weighted_apply_block: panel dimension mismatch");
   const Index b = v.cols();
   y.reshape(dim_, b);
-  apply_two_phase<Real>(
+  apply_two_phase(
       x, b, y.data(), workspace.factor_panel, workspace.row_scratch,
-      simd::active_kernels().spmm_rows,
       [&](std::size_t i, Real* t) {
         items_[i].q().apply_transpose_block(v, t, workspace.transpose_partial,
                                             workspace.plan);
-      },
-      [&](std::size_t i) { return items_[i].q().values().data(); });
-}
-
-void FactorizedSet::ensure_float_values(BlockWorkspace& workspace) const {
-  if (static_cast<Index>(workspace.float_values.size()) < size()) {
-    workspace.float_values.resize(static_cast<std::size_t>(size()));
-  }
-  for (Index i = 0; i < size(); ++i) {
-    auto& fv = workspace.float_values[static_cast<std::size_t>(i)];
-    if (!fv.built) {
-      items_[static_cast<std::size_t>(i)].q().fill_float_values(fv.values,
-                                                                fv.t_values);
-      fv.built = true;
-    }
-  }
-}
-
-void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
-                                           MatrixF& y,
-                                           BlockWorkspace& workspace) const {
-  PSDP_CHECK(x.size() == size(),
-             "weighted_apply_block_f: weight length mismatch");
-  PSDP_CHECK(v.rows() == dim_,
-             "weighted_apply_block_f: panel dimension mismatch");
-  ensure_float_values(workspace);
-  const Index b = v.cols();
-  y.reshape(dim_, b);
-  // Weights stay double until Phase B's multiply: one rounding per
-  // accumulated term, same as the float kernels themselves.
-  apply_two_phase<float>(
-      x, b, y.data(), workspace.factor_panel_f, workspace.row_scratch_f,
-      simd::active_kernels().spmm_rows_f,
-      [&](std::size_t i, float* t) {
-        const auto& fv = workspace.float_values[i];
-        items_[i].q().apply_transpose_block_f(v, t, fv.values, fv.t_values,
-                                              workspace.transpose_partial_f);
-      },
-      [&](std::size_t i) { return workspace.float_values[i].values.data(); });
+      });
 }
 
 void FactorizedSet::weighted_apply(const Vector& x, const Vector& v,
@@ -441,10 +392,10 @@ void FactorizedSet::weighted_apply(const Vector& x, const Vector& v,
   // signature the Lanczos certificate and the block_size = 1 path call.
   thread_local std::vector<Real> stack;
   thread_local std::vector<Real> row_scratch;
-  apply_two_phase<Real>(
-      x, 1, y.data(), stack, row_scratch, simd::active_kernels().spmm_rows,
-      [&](std::size_t i, Real* t) { items_[i].q().apply_transpose(v, t); },
-      [&](std::size_t i) { return items_[i].q().values().data(); });
+  apply_two_phase(x, 1, y.data(), stack, row_scratch,
+                  [&](std::size_t i, Real* t) {
+                    items_[i].q().apply_transpose(v, t);
+                  });
 }
 
 }  // namespace psdp::sparse

@@ -96,15 +96,6 @@ class FactorizedPsd {
   void apply_block(const Matrix& x, Matrix& y, Matrix& scratch,
                    std::vector<Real>& partial, const KernelPlan* plan) const;
 
-  /// Float32 twin of apply_block for the mixed-precision sketch mode: two
-  /// float SpMMs through the caller's scratch panel, using the caller's
-  /// float32 value copies of Q (FactorizedSet::ensure_float_values builds
-  /// and recycles them). Deterministic per ISA; float rounding only.
-  void apply_block_f(const MatrixF& x, MatrixF& y, MatrixF& scratch,
-                     std::span<const float> values_f,
-                     std::span<const float> t_values_f,
-                     std::vector<float>& partial) const;
-
   /// (Q Q^T) . S for a dense symmetric S: sum of column quadratic forms.
   Real dot_dense(const Matrix& s) const;
 
@@ -185,22 +176,6 @@ class FactorizedSet {
     /// pointer copy, so the zero-allocation steady state is unaffected.
     const KernelPlan* plan = nullptr;
 
-    /// Float twins of the buffers above, used only by the mixed-precision
-    /// sketch mode (BigDotExpOptions::panel_precision).
-    std::vector<float> factor_panel_f;
-    std::vector<float> row_scratch_f;
-    std::vector<float> transpose_partial_f;
-    /// Per-factor float32 copies of Q_i's values (and cached CSC values),
-    /// built once by ensure_float_values and reused across panels, rounds,
-    /// and solves. Stale only if a factor is mutated after the build --
-    /// instances are immutable for the duration of a solve, and the float
-    /// kernels cross-check sizes against nnz.
-    struct FloatFactorValues {
-      std::vector<float> values;
-      std::vector<float> t_values;  ///< empty when no transpose index
-      bool built = false;
-    };
-    std::vector<FloatFactorValues> float_values;
   };
 
   /// Y = (sum_i x_i A_i) V for a row-major dim() x b panel V: the two-phase
@@ -210,33 +185,14 @@ class FactorizedSet {
   void weighted_apply_block(const Vector& x, const Matrix& v, Matrix& y,
                             BlockWorkspace& workspace) const;
 
-  /// Build (idempotently) the workspace's per-factor float32 value copies.
-  /// Runs once per workspace; after it, the float sweeps below allocate
-  /// nothing (the zero-allocation steady state extends to the mixed-
-  /// precision mode).
-  void ensure_float_values(BlockWorkspace& workspace) const;
-
-  /// Float32 twin of weighted_apply_block: the same two phases over
-  /// MatrixF panels through the float kernel seam, weights rounded to
-  /// float once per accumulated term. Column results carry float rounding
-  /// (deterministic per ISA); only the sketch/Taylor panels ever run
-  /// through here -- every certificate-bearing quantity stays double (see
-  /// BigDotExpOptions::panel_precision).
-  void weighted_apply_block_f(const Vector& x, const MatrixF& v, MatrixF& y,
-                              BlockWorkspace& workspace) const;
-
  private:
   /// The shared two-phase body. `transpose(i, t)` writes T_i into its
-  /// stacked slice `t`; `row_values(i)` is the value array Phase B's
-  /// `spmm_rows` multiplies Q_i's rows with.
-  template <typename T, typename Transpose, typename RowValues>
-  void apply_two_phase(const Vector& x, Index b, T* y, std::vector<T>& stack,
-                       std::vector<T>& row_scratch,
-                       void (*spmm_rows)(const Index*, const Index*,
-                                         const T*, Index, Index, Index,
-                                         const T*, T*),
-                       const Transpose& transpose,
-                       const RowValues& row_values) const;
+  /// stacked slice `t`.
+  template <typename Transpose>
+  void apply_two_phase(const Vector& x, Index b, Real* y,
+                       std::vector<Real>& stack,
+                       std::vector<Real>& row_scratch,
+                       const Transpose& transpose) const;
 
   std::vector<FactorizedPsd> items_;
   Index dim_ = 0;

@@ -14,7 +14,6 @@ namespace psdp::sparse {
 namespace {
 
 using linalg::Matrix;
-using linalg::MatrixF;
 using linalg::Vector;
 using psdp::testing::random_psd;
 using psdp::testing::random_psd_rank;
@@ -241,25 +240,6 @@ Matrix reference_block(const FactorizedSet& set, const Vector& x,
   return y;
 }
 
-/// Float twin of reference_block (float weights, one rounding per term).
-MatrixF reference_block_f(const FactorizedSet& set, const Vector& x,
-                          const MatrixF& v) {
-  MatrixF y(set.dim(), v.cols());
-  y.fill(0);
-  MatrixF contribution, scratch;
-  std::vector<float> values, t_values, partial;
-  for (Index i = 0; i < set.size(); ++i) {
-    if (x[i] == 0) continue;
-    set[i].q().fill_float_values(values, t_values);
-    set[i].apply_block_f(v, contribution, scratch, values, t_values, partial);
-    const float w = static_cast<float>(x[i]);
-    for (Index e = 0; e < set.dim() * v.cols(); ++e) {
-      y.data()[e] += w * contribution.data()[e];
-    }
-  }
-  return y;
-}
-
 /// Matvec twin: sum_i FactorizedPsd::apply + Vector::add_scaled.
 Vector reference_apply(const FactorizedSet& set, const Vector& x,
                        const Vector& v) {
@@ -273,9 +253,8 @@ Vector reference_apply(const FactorizedSet& set, const Vector& x,
   return y;
 }
 
-template <typename T>
-bool same_bits(const T* a, const T* b, Index n) {
-  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(T)) == 0;
+bool same_bits(const Real* a, const Real* b, Index n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(Real)) == 0;
 }
 
 /// Runs `check(set, label)` over both test sets, K = 1 and K = 4
@@ -315,26 +294,6 @@ TEST(PsiApply, BlockMatchesPerConstraintReferenceBitwise) {
       const Matrix want = reference_block(set, x, v);
       ASSERT_EQ(y.rows(), set.dim());
       ASSERT_EQ(y.cols(), b);
-      EXPECT_TRUE(same_bits(y.data(), want.data(), set.dim() * b))
-          << label << " b=" << b;
-    }
-  });
-}
-
-TEST(PsiApply, FloatBlockMatchesPerConstraintReferenceBitwise) {
-  for_each_psi_config([](const FactorizedSet& set, const std::string& label) {
-    const Vector x = psi_weights(set.size());
-    FactorizedSet::BlockWorkspace workspace;
-    for (const Index b : {1, 2, 3, 8, 16, 17, 32}) {
-      const Matrix vd =
-          psi_panel(set.dim(), b, 200 + static_cast<std::uint64_t>(b));
-      MatrixF v(set.dim(), b);
-      for (Index e = 0; e < set.dim() * b; ++e) {
-        v.data()[e] = static_cast<float>(vd.data()[e]);
-      }
-      MatrixF y;
-      set.weighted_apply_block_f(x, v, y, workspace);
-      const MatrixF want = reference_block_f(set, x, v);
       EXPECT_TRUE(same_bits(y.data(), want.data(), set.dim() * b))
           << label << " b=" << b;
     }

@@ -345,8 +345,8 @@ INSTANTIATE_TEST_SUITE_P(Solvers, ProbeSolverSweep,
                                            ProbeSolver::kBucketed));
 
 // ---------------------------------------------------------------------------
-// Fused dots (the one-pass kernel) through the oracle: same penalties as
-// the two-pass layout, to rounding.
+// The blocked oracle (fused dots, the one-pass kernel every solver runs)
+// against the block_size = 1 reference oracle: same penalties, to rounding.
 // ---------------------------------------------------------------------------
 
 TEST(SketchedTaylorOracle, FusedDotsMatchTwoPassLayout) {
@@ -360,23 +360,22 @@ TEST(SketchedTaylorOracle, FusedDotsMatchTwoPassLayout) {
   SketchedOracleOptions fused_options;
   fused_options.eps = 0.25;
   fused_options.dot_options.block_size = 8;
-  fused_options.dot_options.fuse_dots = true;
   SketchedTaylorOracle fused(fact, fused_options);
 
-  SketchedOracleOptions two_pass_options = fused_options;
-  two_pass_options.dot_options.fuse_dots = false;
-  SketchedTaylorOracle two_pass(fact, two_pass_options);
+  SketchedOracleOptions reference_options = fused_options;
+  reference_options.dot_options.block_size = 1;
+  SketchedTaylorOracle reference(fact, reference_options);
 
   PenaltyBatch fused_batch;
-  PenaltyBatch two_pass_batch;
+  PenaltyBatch reference_batch;
   fused.compute(x, 5, fused_batch);
-  two_pass.compute(x, 5, two_pass_batch);
+  reference.compute(x, 5, reference_batch);
 
-  EXPECT_NEAR(fused_batch.trace, two_pass_batch.trace,
-              1e-10 * std::abs(two_pass_batch.trace));
+  EXPECT_NEAR(fused_batch.trace, reference_batch.trace,
+              1e-10 * std::abs(reference_batch.trace));
   for (Index i = 0; i < fact.size(); ++i) {
-    EXPECT_NEAR(fused_batch.dots[i], two_pass_batch.dots[i],
-                1e-10 * std::max<Real>(1, std::abs(two_pass_batch.dots[i])));
+    EXPECT_NEAR(fused_batch.dots[i], reference_batch.dots[i],
+                1e-10 * std::max<Real>(1, std::abs(reference_batch.dots[i])));
   }
 }
 
