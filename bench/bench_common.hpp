@@ -37,8 +37,9 @@ struct SteadyStateAllocReport {
 };
 
 /// Drive the factorized plain decision loop (oracle evaluation + coordinate
-/// update, the paper's per-iteration primitive) on a shared SolverWorkspace
-/// and count heap allocations across the post-warmup iterations. `counter`
+/// update, the paper's per-iteration primitive, then the probe epilogue's
+/// lambda_max certificate) on a shared SolverWorkspace and count heap
+/// allocations across the post-warmup iterations. `counter`
 /// reads the binary's counting allocator (bench/alloc_counter.hpp must be
 /// included by the binary's main translation unit).
 template <typename CounterFn>
@@ -61,11 +62,13 @@ SteadyStateAllocReport run_steady_state_allocs(
   for (Index t = 1; t <= warmup; ++t) {
     oracle.compute(state.x, static_cast<std::uint64_t>(t), batch);
     core::apply_update(state, batch, eps, c.alpha);
+    oracle.lambda_max(state.x);
   }
   const std::uint64_t before = counter();
   for (Index t = warmup + 1; t <= warmup + measured; ++t) {
     oracle.compute(state.x, static_cast<std::uint64_t>(t), batch);
     core::apply_update(state, batch, eps, c.alpha);
+    oracle.lambda_max(state.x);
   }
   report.allocations = counter() - before;
   return report;

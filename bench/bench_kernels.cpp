@@ -492,11 +492,12 @@ struct TransposeSweepResult {
   /// Acceptance bar of the plan dispatch (full runs enforce it): at every
   /// width, `apply_transpose_block` through the autotuned plan stays
   /// within 10% of the best *deterministic* kernel (gather / segmented)
-  /// measured by this sweep. The owned-column scatter is reported but not
-  /// gated against: which family wins at wide widths is ISA-dependent (the
-  /// SIMD scatter's contiguous row updates vectorize better than the
-  /// gathers' strided fetches on some machines), and the plan deliberately
-  /// never picks it -- kernel choice must not change solver bits.
+  /// measured in the same interleaved rounds. The owned-column scatter is
+  /// reported but not gated against: which family wins at wide widths is
+  /// ISA-dependent (the SIMD scatter's contiguous row updates vectorize
+  /// better than the gathers' strided fetches on some machines), and the
+  /// plan deliberately never picks it -- kernel choice must not change
+  /// solver bits.
   bool planned_tracks_best = true;
 };
 
@@ -577,25 +578,47 @@ TransposeSweepResult run_transpose_sweep(bool smoke,
     const Index inner_scale = std::max<Index>(1, 32 / b);
     const int inner =
         static_cast<int>((smoke ? 4 : 8) * inner_scale);
+    // Timed interleaved (one repetition of each kernel per round, best
+    // round kept), so a slow spell on a shared host hits every kernel
+    // alike instead of deciding the plan gate.
+    const bool segmented = indexed.has_segment_index();
+    std::vector<std::function<void()>> kernels = {
+        [&] {
+          for (int it = 0; it < inner; ++it) {
+            owned.apply_transpose_block_owned(x, ys, partial);
+          }
+        },
+        [&] {
+          for (int it = 0; it < inner; ++it) {
+            indexed.apply_transpose_block_indexed(x, yg);
+          }
+        },
+        // The plan-dispatched entry point, timed as the solvers see it.
+        [&] {
+          for (int it = 0; it < inner; ++it) {
+            indexed.apply_transpose_block(x, yplan, partial);
+          }
+        }};
+    if (segmented) {
+      kernels.push_back([&] {
+        for (int it = 0; it < inner; ++it) {
+          indexed.apply_transpose_block_segmented(x, yseg);
+        }
+      });
+    }
+    const std::vector<double> best =
+        linalg::time_block_kernels({reps, 0, 0}, kernels);
     SweepRow owned_row;
     owned_row.kernel = "transpose_owned";
     owned_row.block = b;
-    owned_row.seconds = linalg::time_block_kernel(reps, [&] {
-      for (int it = 0; it < inner; ++it) {
-        owned.apply_transpose_block_owned(x, ys, partial);
-      }
-    });
+    owned_row.seconds = best[0];
     owned_row.speedup_vs_single = 1;
     // For the transpose rows, "speedup_vs_single" is the kernel's speedup
     // over the owned-column scatter at the same width.
     SweepRow gather_row;
     gather_row.kernel = "transpose_indexed";
     gather_row.block = b;
-    gather_row.seconds = linalg::time_block_kernel(reps, [&] {
-      for (int it = 0; it < inner; ++it) {
-        indexed.apply_transpose_block_indexed(x, yg);
-      }
-    });
+    gather_row.seconds = best[1];
     gather_row.speedup_vs_single = owned_row.seconds / gather_row.seconds;
     const auto deviation = [&](const linalg::Matrix& y) {
       Real worst = 0;
@@ -613,29 +636,20 @@ TransposeSweepResult run_transpose_sweep(bool smoke,
     SweepRow segmented_row;
     segmented_row.kernel = "transpose_segmented";
     segmented_row.block = b;
-    if (indexed.has_segment_index()) {
-      segmented_row.seconds = linalg::time_block_kernel(reps, [&] {
-        for (int it = 0; it < inner; ++it) {
-          indexed.apply_transpose_block_segmented(x, yseg);
-        }
-      });
+    if (segmented) {
+      segmented_row.seconds = best[3];
       segmented_row.speedup_vs_single =
           owned_row.seconds / segmented_row.seconds;
       segmented_row.max_rel_dev = deviation(yseg);
     }
-    // The plan-dispatched entry point, timed as the solvers see it.
     SweepRow plan_row;
     plan_row.kernel = "transpose_planned";
     plan_row.block = b;
-    plan_row.seconds = linalg::time_block_kernel(reps, [&] {
-      for (int it = 0; it < inner; ++it) {
-        indexed.apply_transpose_block(x, yplan, partial);
-      }
-    });
+    plan_row.seconds = best[2];
     plan_row.speedup_vs_single = owned_row.seconds / plan_row.seconds;
     plan_row.max_rel_dev = deviation(yplan);
     double best_deterministic = gather_row.seconds;
-    if (indexed.has_segment_index()) {
+    if (segmented) {
       best_deterministic = std::min(best_deterministic, segmented_row.seconds);
     }
     if (plan_row.seconds > 1.10 * best_deterministic) {
@@ -643,7 +657,7 @@ TransposeSweepResult run_transpose_sweep(bool smoke,
     }
     result.rows.push_back(owned_row);
     result.rows.push_back(gather_row);
-    if (indexed.has_segment_index()) result.rows.push_back(segmented_row);
+    if (segmented) result.rows.push_back(segmented_row);
     result.rows.push_back(plan_row);
   }
   return result;

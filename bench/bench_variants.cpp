@@ -111,8 +111,9 @@ std::vector<VariantRow> run_all(const core::PackingInstance& instance,
 }
 
 /// The CI steady-state-allocation guard (`--alloc-guard`): iterations of
-/// the factorized plain decision loop on a shared SolverWorkspace must
-/// perform zero heap allocations after warmup. This binary's operator new
+/// the factorized plain decision loop on a shared SolverWorkspace, each
+/// followed by the lambda_max certificate, must perform zero heap
+/// allocations after warmup. This binary's operator new
 /// is replaced by the counting allocator, so any hidden per-round heap
 /// traffic -- a workspace that stopped being recycled, a parallel loop
 /// boxing its body, a batch descriptor allocated per region -- fails the

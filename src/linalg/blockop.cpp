@@ -34,28 +34,43 @@ void panel_column(const Matrix& panel, Index col, Vector& out) {
 
 double time_block_kernel(const TimingOptions& options,
                          const std::function<void()>& body) {
+  return time_block_kernels(options, {&body, 1})[0];
+}
+
+std::vector<double> time_block_kernels(
+    const TimingOptions& options,
+    std::span<const std::function<void()>> bodies) {
   PSDP_CHECK(options.reps >= 1,
              "time_block_kernel: need at least one repetition");
   PSDP_CHECK(options.warmup >= 0 && options.min_elapsed_seconds >= 0,
              "time_block_kernel: warmup and elapsed floor must be "
              "non-negative");
   using Clock = std::chrono::steady_clock;
-  for (int rep = 0; rep < options.warmup; ++rep) body();
-  // Repetition cap: a floor far above the kernel's cost must terminate
-  // (the autotuner times thousands of kernel/width combinations).
+  for (const std::function<void()>& body : bodies) {
+    for (int rep = 0; rep < options.warmup; ++rep) body();
+  }
+  // Round cap: a floor far above the kernels' cost must terminate (the
+  // autotuner times thousands of kernel/width combinations).
   constexpr int kMaxReps = 64;
-  double best = std::numeric_limits<double>::infinity();
-  double total = 0;
-  int timed = 0;
-  while (timed < options.reps ||
-         (total < options.min_elapsed_seconds && timed < kMaxReps)) {
-    const Clock::time_point start = Clock::now();
-    body();
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    best = std::min(best, elapsed);
-    total += elapsed;
-    ++timed;
+  std::vector<double> best(bodies.size(),
+                           std::numeric_limits<double>::infinity());
+  std::vector<double> total(bodies.size(), 0);
+  const auto below_floor = [&] {
+    for (const double t : total) {
+      if (t < options.min_elapsed_seconds) return true;
+    }
+    return false;
+  };
+  for (int timed = 0;
+       timed < options.reps || (below_floor() && timed < kMaxReps); ++timed) {
+    for (std::size_t k = 0; k < bodies.size(); ++k) {
+      const Clock::time_point start = Clock::now();
+      bodies[k]();
+      const double elapsed =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      best[k] = std::min(best[k], elapsed);
+      total[k] += elapsed;
+    }
   }
   return best;
 }

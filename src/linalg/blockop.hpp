@@ -20,6 +20,8 @@
 #pragma once
 
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "linalg/power.hpp"
@@ -71,5 +73,16 @@ double time_block_kernel(const TimingOptions& options,
 
 /// time_block_kernel with {reps, no warmup, no elapsed floor}.
 double time_block_kernel(int reps, const std::function<void()>& body);
+
+/// Best-of-N seconds of several competing kernel thunks, timed interleaved:
+/// after every thunk's warmups, each round times every thunk once, in
+/// order, so a slow spell on a shared machine hits all candidates alike
+/// instead of deciding which one looks fastest. Rounds run until `reps`
+/// are done and every thunk's timed total reaches the elapsed floor
+/// (capped at 64 rounds). Entry k is thunk k's best round; for one thunk
+/// this is exactly time_block_kernel.
+std::vector<double> time_block_kernels(
+    const TimingOptions& options,
+    std::span<const std::function<void()>> bodies);
 
 }  // namespace psdp::linalg

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <sstream>
@@ -282,29 +283,31 @@ KernelPlan autotune_transpose_plan(const Csr& a,
         std::clamp<Index>(kTargetSampleFlops / flops, 1, 64));
     KernelPlanEntry entry;
     entry.width = width;
-    entry.gather_seconds =
-        linalg::time_block_kernel(timing, [&] {
+    // Timed interleaved, so load on a shared machine cannot make one
+    // candidate look slower than the others and flip the choice.
+    std::vector<std::function<void()>> kernels = {
+        [&] {
           for (int it = 0; it < inner; ++it) {
             a.apply_transpose_block_indexed(x, y);
           }
-        }) /
-        inner;
-    if (segmented) {
-      entry.segmented_seconds =
-          linalg::time_block_kernel(timing, [&] {
-            for (int it = 0; it < inner; ++it) {
-              a.apply_transpose_block_segmented(x, y);
-            }
-          }) /
-          inner;
-    }
-    entry.scatter_seconds =
-        linalg::time_block_kernel(timing, [&] {
+        },
+        [&] {
           for (int it = 0; it < inner; ++it) {
             a.apply_transpose_block_owned(x, y, partial);
           }
-        }) /
-        inner;
+        }};
+    if (segmented) {
+      kernels.push_back([&] {
+        for (int it = 0; it < inner; ++it) {
+          a.apply_transpose_block_segmented(x, y);
+        }
+      });
+    }
+    const std::vector<double> seconds =
+        linalg::time_block_kernels(timing, kernels);
+    entry.gather_seconds = seconds[0] / inner;
+    entry.scatter_seconds = seconds[1] / inner;
+    if (segmented) entry.segmented_seconds = seconds[2] / inner;
     if (options.measure_scalar &&
         simd::active_isa() != simd::Isa::kScalar) {
       // Reporting only (bench attribution of the SIMD speedup); forced

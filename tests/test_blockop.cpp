@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "core/bigdotexp.hpp"
 #include "linalg/blockop.hpp"
@@ -357,6 +360,20 @@ TEST(TimeBlockKernel, ElapsedFloorExtendsAndCapsRepetitions) {
   calls = 0;
   linalg::time_block_kernel(2, [&] { ++calls; });
   EXPECT_EQ(calls, 2);
+}
+
+TEST(TimeBlockKernels, WarmsUpEachThenTimesRoundRobin) {
+  std::string order;
+  const std::vector<std::function<void()>> kernels = {
+      [&] { order += 'a'; }, [&] { order += 'b'; }, [&] { order += 'c'; }};
+  linalg::TimingOptions options;
+  options.reps = 3;
+  options.warmup = 1;
+  const std::vector<double> seconds =
+      linalg::time_block_kernels(options, kernels);
+  EXPECT_EQ(order, "abcabcabcabc");  // warmups, then 3 interleaved rounds
+  ASSERT_EQ(seconds.size(), 3u);
+  for (const double s : seconds) EXPECT_GE(s, 0.0);
 }
 
 }  // namespace
