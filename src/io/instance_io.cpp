@@ -1,15 +1,18 @@
 #include "io/instance_io.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <iomanip>
-#include <sstream>
+#include <string_view>
+
+#include "io/text_fields.hpp"
 
 namespace psdp::io {
 
 using core::CoveringProblem;
 using core::FactorizedPackingInstance;
 using core::PackingInstance;
+using detail::Fields;
+using detail::LineSource;
 using linalg::Matrix;
 using linalg::Vector;
 
@@ -38,62 +41,67 @@ void write_dense_symmetric(std::ostream& out, const Matrix& a) {
   }
 }
 
-/// Next non-comment, non-blank line.
-bool next_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos) continue;
-    if (line[pos] == '#') continue;
-    return true;
-  }
-  return false;
+/// The next record's fields; throws at end of input.
+Fields record(LineSource& lines, const char* what) {
+  PSDP_CHECK(lines.next(), str("unexpected end of input, expected ", what));
+  return lines.fields();
 }
 
-std::istringstream expect_line(std::istream& in, const char* what) {
-  std::string line;
-  PSDP_CHECK(next_line(in, line), str("unexpected end of input, expected ", what));
-  return std::istringstream(line);
-}
-
-void expect_header(std::istream& in, const std::string& kind) {
-  auto line = expect_line(in, "header");
-  std::string magic, got_kind;
-  int version = 0;
-  line >> magic >> got_kind >> version;
+void expect_header(LineSource& lines, std::string_view kind) {
+  Fields line = record(lines, "header");
+  std::string_view magic, got_kind;
+  Index version = 0;
+  line.word(magic);
+  line.word(got_kind);
+  line.integer(version);
   PSDP_CHECK(magic == "psdp", "not a psdp instance file");
   PSDP_CHECK(got_kind == kind,
              str("expected kind '", kind, "', found '", got_kind, "'"));
   PSDP_CHECK(version == 1, str("unsupported format version ", version));
+  PSDP_CHECK(line.done(), "malformed header record");
 }
 
-std::pair<Index, Index> read_size(std::istream& in) {
-  auto line = expect_line(in, "size");
-  std::string tag;
+std::pair<Index, Index> read_size(LineSource& lines) {
+  Fields line = record(lines, "size");
+  std::string_view tag;
   Index n = 0, m = 0;
-  line >> tag >> n >> m;
-  PSDP_CHECK(tag == "size" && n >= 1 && m >= 1, "malformed size record");
+  PSDP_CHECK(line.word(tag) && tag == "size" && line.integer(n) &&
+                 line.integer(m) && line.done() && n >= 1 && m >= 1,
+             "malformed size record");
   return {n, m};
 }
 
-Matrix read_dense_symmetric(std::istream& in, Index m, Index expected_index) {
-  auto header = expect_line(in, "constraint");
-  std::string tag;
-  Index idx = 0, nnz = 0;
-  header >> tag >> idx >> nnz;
-  PSDP_CHECK(tag == "constraint" && idx == expected_index && nnz >= 0,
-             str("malformed constraint record (index ", expected_index, ")"));
+/// One "r c v" entry line.
+bool read_entry(Fields line, Index& r, Index& c, Real& v) {
+  return line.integer(r) && line.integer(c) && line.real(v) && line.done();
+}
+
+/// `nnz` upper-triangle "i j v" lines mirrored into a dense m x m matrix;
+/// `what` names an entry in the errors.
+Matrix read_dense_symmetric(LineSource& lines, Index m, Index nnz,
+                            const char* what) {
   Matrix a(m, m);
   for (Index k = 0; k < nnz; ++k) {
-    auto entry = expect_line(in, "matrix entry");
     Index i = 0, j = 0;
     Real v = 0;
-    entry >> i >> j >> v;
-    PSDP_CHECK(entry && i >= 0 && j >= i && j < m && std::isfinite(v),
-               "malformed matrix entry");
+    PSDP_CHECK(read_entry(record(lines, what), i, j, v) && i >= 0 && j >= i &&
+                   j < m,
+               str("malformed ", what));
     a(i, j) = v;
     a(j, i) = v;
   }
   return a;
+}
+
+/// A dense "constraint <i> <nnz>" record and its entries.
+Matrix read_dense_constraint(LineSource& lines, Index m, Index i) {
+  Fields header = record(lines, "constraint");
+  std::string_view tag;
+  Index idx = 0, nnz = 0;
+  PSDP_CHECK(header.word(tag) && tag == "constraint" && header.integer(idx) &&
+                 header.integer(nnz) && header.done() && idx == i && nnz >= 0,
+             str("malformed constraint record (index ", i, ")"));
+  return read_dense_symmetric(lines, m, nnz, "matrix entry");
 }
 
 }  // namespace
@@ -108,12 +116,13 @@ void write_packing(std::ostream& out, const PackingInstance& instance) {
 }
 
 PackingInstance read_packing(std::istream& in) {
-  expect_header(in, "packing-dense");
-  const auto [n, m] = read_size(in);
+  LineSource lines(in, '#');
+  expect_header(lines, "packing-dense");
+  const auto [n, m] = read_size(lines);
   std::vector<Matrix> constraints;
   constraints.reserve(static_cast<std::size_t>(n));
   for (Index i = 0; i < n; ++i) {
-    constraints.push_back(read_dense_symmetric(in, m, i));
+    constraints.push_back(read_dense_constraint(lines, m, i));
   }
   return PackingInstance(std::move(constraints));
 }
@@ -139,26 +148,27 @@ void write_factorized(std::ostream& out,
 FactorizedPackingInstance read_factorized(
     std::istream& in, const sparse::TransposePlanOptions& plan_options,
     Index shards) {
-  expect_header(in, "packing-factorized");
-  const auto [n, m] = read_size(in);
+  LineSource lines(in, '#');
+  expect_header(lines, "packing-factorized");
+  const auto [n, m] = read_size(lines);
   std::vector<sparse::FactorizedPsd> items;
   items.reserve(static_cast<std::size_t>(n));
   for (Index i = 0; i < n; ++i) {
-    auto header = expect_line(in, "constraint");
-    std::string tag;
+    Fields header = record(lines, "constraint");
+    std::string_view tag;
     Index idx = 0, cols = 0, nnz = 0;
-    header >> tag >> idx >> cols >> nnz;
-    PSDP_CHECK(tag == "constraint" && idx == i && cols >= 1 && nnz >= 0,
+    PSDP_CHECK(header.word(tag) && tag == "constraint" &&
+                   header.integer(idx) && header.integer(cols) &&
+                   header.integer(nnz) && header.done() && idx == i &&
+                   cols >= 1 && nnz >= 0,
                str("malformed factorized constraint record (index ", i, ")"));
     std::vector<sparse::Triplet> triplets;
     triplets.reserve(static_cast<std::size_t>(nnz));
     for (Index k = 0; k < nnz; ++k) {
-      auto entry = expect_line(in, "factor entry");
       Index r = 0, c = 0;
       Real v = 0;
-      entry >> r >> c >> v;
-      PSDP_CHECK(entry && r >= 0 && r < m && c >= 0 && c < cols &&
-                     std::isfinite(v),
+      PSDP_CHECK(read_entry(record(lines, "factor entry"), r, c, v) &&
+                     r >= 0 && r < m && c >= 0 && c < cols,
                  "malformed factor entry");
       triplets.push_back({r, c, v});
     }
@@ -187,40 +197,31 @@ void write_covering(std::ostream& out, const CoveringProblem& problem) {
 }
 
 CoveringProblem read_covering(std::istream& in) {
-  expect_header(in, "covering");
-  const auto [n, m] = read_size(in);
+  LineSource lines(in, '#');
+  expect_header(lines, "covering");
+  const auto [n, m] = read_size(lines);
   CoveringProblem problem;
   {
-    auto header = expect_line(in, "objective");
-    std::string tag;
+    Fields header = record(lines, "objective");
+    std::string_view tag;
     Index nnz = 0;
-    header >> tag >> nnz;
-    PSDP_CHECK(tag == "objective" && nnz >= 0, "malformed objective record");
-    problem.objective = Matrix(m, m);
-    for (Index k = 0; k < nnz; ++k) {
-      auto entry = expect_line(in, "objective entry");
-      Index i = 0, j = 0;
-      Real v = 0;
-      entry >> i >> j >> v;
-      PSDP_CHECK(entry && i >= 0 && j >= i && j < m && std::isfinite(v),
-                 "malformed objective entry");
-      problem.objective(i, j) = v;
-      problem.objective(j, i) = v;
-    }
+    PSDP_CHECK(header.word(tag) && tag == "objective" &&
+                   header.integer(nnz) && header.done() && nnz >= 0,
+               "malformed objective record");
+    problem.objective = read_dense_symmetric(lines, m, nnz, "objective entry");
   }
   {
-    auto line = expect_line(in, "rhs");
-    std::string tag;
-    line >> tag;
-    PSDP_CHECK(tag == "rhs", "malformed rhs record");
+    Fields line = record(lines, "rhs");
+    std::string_view tag;
+    PSDP_CHECK(line.word(tag) && tag == "rhs", "malformed rhs record");
     problem.rhs = Vector(n);
-    for (Index i = 0; i < n; ++i) {
-      PSDP_CHECK(static_cast<bool>(line >> problem.rhs[i]),
-                 "rhs record too short");
-    }
+    bool ok = true;
+    for (Index i = 0; i < n && ok; ++i) ok = line.real(problem.rhs[i]);
+    PSDP_CHECK(ok && line.done(),
+               str("malformed rhs record (expected ", n, " finite values)"));
   }
   for (Index i = 0; i < n; ++i) {
-    problem.constraints.push_back(read_dense_symmetric(in, m, i));
+    problem.constraints.push_back(read_dense_constraint(lines, m, i));
   }
   return problem;
 }
@@ -264,21 +265,21 @@ void write_lp(std::ostream& out, const core::PackingLp& lp) {
 }
 
 core::PackingLp read_lp(std::istream& in) {
-  expect_header(in, "packing-lp");
-  const auto [l, n] = read_size(in);
-  auto header = expect_line(in, "matrix");
-  std::string tag;
+  LineSource lines(in, '#');
+  expect_header(lines, "packing-lp");
+  const auto [l, n] = read_size(lines);
+  Fields header = record(lines, "matrix");
+  std::string_view tag;
   Index nnz = 0;
-  header >> tag >> nnz;
-  PSDP_CHECK(tag == "matrix" && nnz >= 0, "malformed matrix record");
+  PSDP_CHECK(header.word(tag) && tag == "matrix" && header.integer(nnz) &&
+                 header.done() && nnz >= 0,
+             "malformed matrix record");
   Matrix p(l, n);
   for (Index k = 0; k < nnz; ++k) {
-    auto entry = expect_line(in, "lp entry");
     Index j = 0, i = 0;
     Real v = 0;
-    entry >> j >> i >> v;
-    PSDP_CHECK(entry && j >= 0 && j < l && i >= 0 && i < n && v >= 0 &&
-                   std::isfinite(v),
+    PSDP_CHECK(read_entry(record(lines, "lp entry"), j, i, v) && j >= 0 &&
+                   j < l && i >= 0 && i < n && v >= 0,
                "malformed lp entry");
     p(j, i) = v;
   }

@@ -16,6 +16,16 @@
 //   objective <nnz>                     covering only
 //   rhs <b_0> ... <b_{n-1}>             covering only
 //   matrix <nnz>                        packing-lp only; lines "j i v"
+//
+// Fields are separated by blanks (space, tab, CR, VT, FF), so CRLF files
+// load. A record carries exactly its fields: extra fields are an error.
+// Numbers are parsed by io/text_fields.hpp and accept what
+// `std::istream >>` accepted, with the same bits: integers are
+// [+-]digits (decimal); reals are [+-](digits[.digits] | .digits) with an
+// optional (e|E)[+-]digits exponent. A leading '+' is accepted; a value
+// below the smallest subnormal reads as a signed zero; a value above the
+// largest double, inf, nan, hex floats and a dangling exponent ("1.5e")
+// are rejected.
 #pragma once
 
 #include <iosfwd>

@@ -6,21 +6,26 @@
 #include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
+#include "io/text_fields.hpp"
 #include "util/common.hpp"
 
 namespace psdp::io {
 
 namespace {
 
+using detail::Fields;
+using detail::LineSource;
+
 struct MmHeader {
   bool coordinate = true;   // false = array
   bool symmetric = false;   // general otherwise
 };
 
-std::string lower(std::string s) {
+std::string lower(std::string_view word) {
+  std::string s(word);
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
 }
@@ -29,9 +34,13 @@ std::string lower(std::string s) {
 MmHeader read_banner(std::istream& in) {
   std::string line;
   PSDP_CHECK(std::getline(in, line), "matrix market: empty stream");
-  std::istringstream banner(line);
-  std::string tag, object, format, field, symmetry;
-  banner >> tag >> object >> format >> field >> symmetry;
+  Fields banner(line);
+  std::string_view tag, object, format, field, symmetry;
+  banner.word(tag);
+  banner.word(object);
+  banner.word(format);
+  banner.word(field);
+  banner.word(symmetry);
   PSDP_CHECK(lower(tag) == "%%matrixmarket",
              "matrix market: missing %%MatrixMarket banner");
   PSDP_CHECK(lower(object) == "matrix",
@@ -61,15 +70,49 @@ MmHeader read_banner(std::istream& in) {
   return header;
 }
 
-/// Next content line (skips '%' comments and blank lines).
-bool next_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    std::size_t pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos) continue;
-    if (line[pos] == '%') continue;
-    return true;
-  }
-  return false;
+/// The size line of a coordinate body.
+struct CoordinateSize {
+  Index rows = 0;
+  Index cols = 0;
+  Index nnz = 0;
+};
+
+CoordinateSize read_coordinate_size(LineSource& lines,
+                                    const MmHeader& header) {
+  PSDP_CHECK(lines.next(), "matrix market: missing size line");
+  Fields sizes = lines.fields();
+  CoordinateSize size;
+  PSDP_CHECK(sizes.integer(size.rows) && sizes.integer(size.cols) &&
+                 sizes.integer(size.nnz) && sizes.done(),
+             "matrix market: malformed size line");
+  PSDP_CHECK(size.rows >= 1 && size.cols >= 1 && size.nnz >= 0,
+             "matrix market: non-positive dimensions");
+  PSDP_CHECK(!header.symmetric || size.rows == size.cols,
+             "matrix market: symmetric matrix must be square");
+  return size;
+}
+
+/// Entry `k` of a coordinate body, 0-based. Symmetric entries are
+/// canonicalized to the lower triangle before the duplicates-sum merge:
+/// (r,c) and (c,r) name the *same* logical entry, so a file listing both
+/// sums them like any other duplicate -- one mirror per merged entry, never
+/// a mirror per listing. Upper-triangle-only files (a common deviation from
+/// the spec) load the same as lower-triangle ones.
+sparse::Triplet read_coordinate_entry(LineSource& lines,
+                                      const CoordinateSize& size,
+                                      const MmHeader& header, Index k) {
+  PSDP_CHECK(lines.next(),
+             str("matrix market: expected ", size.nnz, " entries, got ", k));
+  Fields entry = lines.fields();
+  Index r = 0, c = 0;
+  Real v = 0;
+  PSDP_CHECK(entry.integer(r) && entry.integer(c) && entry.real(v) &&
+                 entry.done(),
+             str("matrix market: malformed entry line '", lines.line(), "'"));
+  PSDP_CHECK(r >= 1 && r <= size.rows && c >= 1 && c <= size.cols,
+             str("matrix market: index (", r, ",", c, ") out of range"));
+  if (header.symmetric && c > r) std::swap(r, c);
+  return {r - 1, c - 1, v};
 }
 
 struct ParsedSparse {
@@ -78,55 +121,27 @@ struct ParsedSparse {
   std::vector<sparse::Triplet> triplets;
 };
 
-ParsedSparse read_coordinate_body(std::istream& in, const MmHeader& header) {
-  std::string line;
-  PSDP_CHECK(next_line(in, line), "matrix market: missing size line");
-  std::istringstream sizes(line);
-  Index rows = 0, cols = 0, nnz = 0;
-  PSDP_CHECK(static_cast<bool>(sizes >> rows >> cols >> nnz),
-             "matrix market: malformed size line");
-  PSDP_CHECK(rows >= 1 && cols >= 1 && nnz >= 0,
-             "matrix market: non-positive dimensions");
-  PSDP_CHECK(!header.symmetric || rows == cols,
-             "matrix market: symmetric matrix must be square");
-
+ParsedSparse read_coordinate_body(LineSource& lines, const MmHeader& header) {
+  const CoordinateSize size = read_coordinate_size(lines, header);
   ParsedSparse parsed;
-  parsed.rows = rows;
-  parsed.cols = cols;
-  parsed.triplets.reserve(static_cast<std::size_t>(nnz));
-  for (Index k = 0; k < nnz; ++k) {
-    PSDP_CHECK(next_line(in, line),
-               str("matrix market: expected ", nnz, " entries, got ", k));
-    std::istringstream entry(line);
-    Index r = 0, c = 0;
-    Real v = 0;
-    PSDP_CHECK(static_cast<bool>(entry >> r >> c >> v),
-               str("matrix market: malformed entry line '", line, "'"));
-    PSDP_CHECK(r >= 1 && r <= rows && c >= 1 && c <= cols,
-               str("matrix market: index (", r, ",", c, ") out of range"));
-    PSDP_CHECK(std::isfinite(v), "matrix market: non-finite value");
-    // Symmetric entries are canonicalized to the lower triangle before
-    // the duplicates-sum merge: (r,c) and (c,r) name the *same* logical
-    // entry, so a file listing both sums them like any other duplicate
-    // -- one mirror per merged entry, never a mirror per listing (the
-    // old reader mirrored each listing independently, which silently
-    // doubled redundant pairs). Upper-triangle-only files (a common
-    // deviation from the spec) keep loading exactly as before.
-    if (header.symmetric && c > r) std::swap(r, c);
-    parsed.triplets.push_back({r - 1, c - 1, v});
-    if (header.symmetric && r != c) {
-      parsed.triplets.push_back({c - 1, r - 1, v});
+  parsed.rows = size.rows;
+  parsed.cols = size.cols;
+  parsed.triplets.reserve(static_cast<std::size_t>(size.nnz));
+  for (Index k = 0; k < size.nnz; ++k) {
+    const sparse::Triplet t = read_coordinate_entry(lines, size, header, k);
+    parsed.triplets.push_back(t);
+    if (header.symmetric && t.row != t.col) {
+      parsed.triplets.push_back({t.col, t.row, t.value});
     }
   }
   return parsed;
 }
 
-linalg::Matrix read_array_body(std::istream& in, const MmHeader& header) {
-  std::string line;
-  PSDP_CHECK(next_line(in, line), "matrix market: missing size line");
-  std::istringstream sizes(line);
+linalg::Matrix read_array_body(LineSource& lines, const MmHeader& header) {
+  PSDP_CHECK(lines.next(), "matrix market: missing size line");
+  Fields sizes = lines.fields();
   Index rows = 0, cols = 0;
-  PSDP_CHECK(static_cast<bool>(sizes >> rows >> cols),
+  PSDP_CHECK(sizes.integer(rows) && sizes.integer(cols) && sizes.done(),
              "matrix market: malformed size line");
   PSDP_CHECK(rows >= 1 && cols >= 1, "matrix market: non-positive dimensions");
   PSDP_CHECK(!header.symmetric || rows == cols,
@@ -138,12 +153,12 @@ linalg::Matrix read_array_body(std::istream& in, const MmHeader& header) {
   for (Index j = 0; j < cols; ++j) {
     const Index start = header.symmetric ? j : 0;
     for (Index i = start; i < rows; ++i) {
-      PSDP_CHECK(next_line(in, line), "matrix market: truncated array body");
-      std::istringstream entry(line);
+      PSDP_CHECK(lines.next(), "matrix market: truncated array body");
+      Fields entry = lines.fields();
       Real v = 0;
-      PSDP_CHECK(static_cast<bool>(entry >> v),
-                 str("matrix market: malformed value line '", line, "'"));
-      PSDP_CHECK(std::isfinite(v), "matrix market: non-finite value");
+      PSDP_CHECK(entry.real(v) && entry.done(),
+                 str("matrix market: malformed value line '", lines.line(),
+                     "'"));
       result(i, j) = v;
       if (header.symmetric) result(j, i) = v;
     }
@@ -361,12 +376,13 @@ void write_matrix_market(std::ostream& out, const linalg::Matrix& matrix,
 
 sparse::Csr read_matrix_market_sparse(std::istream& in) {
   const MmHeader header = read_banner(in);
+  LineSource lines(in, '%');
   if (header.coordinate) {
-    ParsedSparse parsed = read_coordinate_body(in, header);
+    ParsedSparse parsed = read_coordinate_body(lines, header);
     return sparse::Csr::from_triplets(parsed.rows, parsed.cols,
                                       std::move(parsed.triplets));
   }
-  return sparse::Csr::from_dense(read_array_body(in, header));
+  return sparse::Csr::from_dense(read_array_body(lines, header));
 }
 
 sparse::Csr read_matrix_market_sparse_streaming(
@@ -377,51 +393,33 @@ sparse::Csr read_matrix_market_sparse_streaming(
   PSDP_CHECK(header.coordinate,
              "matrix market: streaming reader requires coordinate format");
 
-  std::string line;
-  PSDP_CHECK(next_line(in, line), "matrix market: missing size line");
-  std::istringstream sizes(line);
-  Index rows = 0, cols = 0, nnz = 0;
-  PSDP_CHECK(static_cast<bool>(sizes >> rows >> cols >> nnz),
-             "matrix market: malformed size line");
-  PSDP_CHECK(rows >= 1 && cols >= 1 && nnz >= 0,
-             "matrix market: non-positive dimensions");
-  PSDP_CHECK(!header.symmetric || rows == cols,
-             "matrix market: symmetric matrix must be square");
+  LineSource lines(in, '%');
+  const CoordinateSize size = read_coordinate_size(lines, header);
 
-  // Same per-entry validation and canonicalization as the in-RAM body
-  // (read_coordinate_body), but the entry lands in a bounded staging
-  // buffer instead of a whole-file vector, and symmetric entries are
-  // *only* canonicalized here -- the single mirror per merged entry is
-  // applied at assembly, never buffered.
+  // The in-RAM body's per-entry validation and canonicalization, but the
+  // entry lands in a bounded staging buffer instead of a whole-file vector,
+  // and symmetric entries are *only* canonicalized here -- the single
+  // mirror per merged entry is applied at assembly, never buffered.
   CooAccumulator acc;
   std::vector<sparse::Triplet> staging;
-  staging.reserve(static_cast<std::size_t>(
-      std::min<Index>(options.staging_capacity, std::max<Index>(1, nnz))));
-  for (Index k = 0; k < nnz; ++k) {
-    PSDP_CHECK(next_line(in, line),
-               str("matrix market: expected ", nnz, " entries, got ", k));
-    std::istringstream entry(line);
-    Index r = 0, c = 0;
-    Real v = 0;
-    PSDP_CHECK(static_cast<bool>(entry >> r >> c >> v),
-               str("matrix market: malformed entry line '", line, "'"));
-    PSDP_CHECK(r >= 1 && r <= rows && c >= 1 && c <= cols,
-               str("matrix market: index (", r, ",", c, ") out of range"));
-    PSDP_CHECK(std::isfinite(v), "matrix market: non-finite value");
-    if (header.symmetric && c > r) std::swap(r, c);
-    staging.push_back({r - 1, c - 1, v});
+  staging.reserve(static_cast<std::size_t>(std::min<Index>(
+      options.staging_capacity, std::max<Index>(1, size.nnz))));
+  for (Index k = 0; k < size.nnz; ++k) {
+    staging.push_back(read_coordinate_entry(lines, size, header, k));
     if (static_cast<Index>(staging.size()) >= options.staging_capacity) {
       flush_staging(staging, acc);
     }
   }
   flush_staging(staging, acc);
-  return assemble_streamed(std::move(acc), rows, cols, header.symmetric);
+  return assemble_streamed(std::move(acc), size.rows, size.cols,
+                           header.symmetric);
 }
 
 linalg::Matrix read_matrix_market_dense(std::istream& in) {
   const MmHeader header = read_banner(in);
-  if (!header.coordinate) return read_array_body(in, header);
-  ParsedSparse parsed = read_coordinate_body(in, header);
+  LineSource lines(in, '%');
+  if (!header.coordinate) return read_array_body(lines, header);
+  ParsedSparse parsed = read_coordinate_body(lines, header);
   linalg::Matrix result(parsed.rows, parsed.cols);
   for (const sparse::Triplet& t : parsed.triplets) {
     result(t.row, t.col) += t.value;  // duplicates sum (the documented

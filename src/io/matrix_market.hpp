@@ -27,7 +27,9 @@
 //
 // Conventions follow the NIST specification: 1-based indices, '%' comment
 // lines, a blank-line-free body. Values round-trip at 17 significant
-// digits.
+// digits. Body lines parse through io/text_fields.hpp (the number syntax
+// is documented in io/instance_io.hpp); an entry line holds exactly
+// "row col value" and an array line exactly one value.
 #pragma once
 
 #include <iosfwd>

@@ -196,7 +196,7 @@ Real frobenius_dot(const Matrix& a, const Matrix& b) {
   const Real* pa = a.data();
   const Real* pb = b.data();
   const Real result =
-      par::parallel_sum(0, n, [&](Index i) { return pa[i] * pb[i]; });
+      par::deterministic_sum(0, n, [&](Index i) { return pa[i] * pb[i]; });
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * n));
   par::CostMeter::add_depth(par::reduction_depth(n));
   return result;

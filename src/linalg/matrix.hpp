@@ -87,7 +87,8 @@ Matrix sub(const Matrix& a, const Matrix& b);
 Real trace(const Matrix& a);
 
 /// Frobenius inner product A . B = sum_ij A_ij B_ij = Tr[A B] for symmetric
-/// operands -- the paper's bullet product.
+/// operands -- the paper's bullet product. Bitwise independent of the pool
+/// width (par::deterministic_sum).
 Real frobenius_dot(const Matrix& a, const Matrix& b);
 
 /// Frobenius norm.

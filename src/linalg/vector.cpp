@@ -52,7 +52,8 @@ Vector& Vector::add_scaled(const Vector& other, Real s) {
 
 Real dot(const Vector& x, const Vector& y) {
   PSDP_CHECK(x.size() == y.size(), "dot: size mismatch");
-  return par::parallel_sum(0, x.size(), [&](Index i) { return x[i] * y[i]; });
+  return par::deterministic_sum(0, x.size(),
+                                [&](Index i) { return x[i] * y[i]; });
 }
 
 Real norm2_squared(const Vector& x) { return dot(x, x); }
@@ -60,12 +61,12 @@ Real norm2_squared(const Vector& x) { return dot(x, x); }
 Real norm2(const Vector& x) { return std::sqrt(norm2_squared(x)); }
 
 Real sum(const Vector& x) {
-  return par::parallel_sum(0, x.size(), [&](Index i) { return x[i]; });
+  return par::deterministic_sum(0, x.size(), [&](Index i) { return x[i]; });
 }
 
 Real norm1(const Vector& x) {
-  return par::parallel_sum(0, x.size(),
-                           [&](Index i) { return std::abs(x[i]); });
+  return par::deterministic_sum(0, x.size(),
+                                [&](Index i) { return std::abs(x[i]); });
 }
 
 Real max_entry(const Vector& x) {

@@ -45,6 +45,9 @@ class Vector {
   std::vector<Real> data_;
 };
 
+// dot, sum and norm1 reduce through par::deterministic_sum: their bits do
+// not depend on the pool width (a serial loop up to its chunk length).
+
 /// Inner product <x, y>.
 Real dot(const Vector& x, const Vector& y);
 

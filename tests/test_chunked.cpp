@@ -15,6 +15,7 @@
 #include "io/chunked.hpp"
 #include "io/instance_io.hpp"
 #include "test_helpers.hpp"
+#include "util/wire.hpp"
 
 namespace psdp::io {
 namespace {
@@ -189,6 +190,73 @@ TEST(Chunked, SniffsContainerFiles) {
   EXPECT_FALSE(is_chunked_instance_file("/nonexistent/path/file.chk"));
   std::remove(chunked.c_str());
   std::remove(text.c_str());
+}
+
+/// Bitwise equality of everything a load builds per factor: the CSR
+/// arrays, the transpose index (through the gather it drives) and the
+/// cached lambda_max bound.
+void expect_same_loaded_factors(const FactorizedPackingInstance& a,
+                                const FactorizedPackingInstance& b) {
+  expect_same_instance(a, b);
+  for (Index i = 0; i < a.size(); ++i) {
+    const sparse::Csr& qa = a[i].q();
+    const sparse::Csr& qb = b[i].q();
+    EXPECT_EQ(util::hex_bits(a[i].lambda_max_bound()),
+              util::hex_bits(b[i].lambda_max_bound()))
+        << "constraint " << i;
+    ASSERT_EQ(qa.has_transpose_index(), qb.has_transpose_index());
+    if (!qa.has_transpose_index()) continue;
+    linalg::Matrix x(qa.rows(), 3);
+    for (Index r = 0; r < qa.rows(); ++r) {
+      for (Index t = 0; t < 3; ++t) x(r, t) = 1.0 / (1 + r + 7 * t);
+    }
+    linalg::Matrix ya, yb;
+    qa.apply_transpose_block_indexed(x, ya);
+    qb.apply_transpose_block_indexed(x, yb);
+    for (Index c = 0; c < qa.cols(); ++c) {
+      for (Index t = 0; t < 3; ++t) {
+        EXPECT_EQ(util::hex_bits(ya(c, t)), util::hex_bits(yb(c, t)))
+            << "constraint " << i;
+      }
+    }
+  }
+}
+
+TEST(Chunked, TextLoaderMatchesChunkedBitwise) {
+  // The chunked container stores binary doubles, so its loader is a
+  // reference for the text parser that shares no parsing code with it. The
+  // instance has serve-cold's shape.
+  apps::FactorizedOptions gen;
+  gen.m = 32;
+  gen.n = 512;
+  gen.rank = 4;
+  gen.nnz_per_column = 16;
+  gen.seed = 4242;
+  const FactorizedPackingInstance original = apps::random_factorized(gen);
+  const std::string text = temp_path("agree.psdp");
+  const std::string chunked = temp_path("agree.chk");
+  save_factorized(text, original);
+  save_factorized_chunked(chunked, original, 1);
+  const FactorizedPackingInstance reference =
+      load_factorized_chunked(chunked, {}, 1);
+  expect_same_loaded_factors(load_factorized(text), reference);
+
+  // The same records with CRLF line ends, comment lines and blank lines
+  // between them.
+  std::istringstream lines(slurp(text));
+  std::string crlf;
+  std::string line;
+  for (int k = 0; std::getline(lines, line); ++k) {
+    if (k % 5 == 0) crlf += "# comment " + std::to_string(k) + "\r\n";
+    if (k % 11 == 0) crlf += "\t\r\n";
+    crlf += line + "\r\n";
+  }
+  const std::string crlf_path = temp_path("agree_crlf.psdp");
+  spit(crlf_path, crlf);
+  expect_same_loaded_factors(load_factorized(crlf_path), reference);
+  std::remove(text.c_str());
+  std::remove(chunked.c_str());
+  std::remove(crlf_path.c_str());
 }
 
 // ---------------------------------------------------------------- faults --

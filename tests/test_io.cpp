@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "apps/beamforming.hpp"
 #include "apps/generators.hpp"
@@ -106,6 +107,118 @@ TEST(InstanceIo, RejectsNonFiniteValues) {
   std::istringstream in(
       "psdp packing-dense 1\nsize 1 2\nconstraint 0 1\n0 0 nan\n");
   EXPECT_THROW(read_packing(in), InvalidArgument);
+}
+
+/// Expect `read` to raise InvalidArgument on `text` with a message naming
+/// the fault.
+template <typename Reader>
+void expect_rejected(Reader read, const std::string& text,
+                     const std::string& needle) {
+  std::istringstream in(text);
+  try {
+    read(in);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "message was: " << e.what() << "\ninput:\n" << text;
+  }
+}
+
+// One case per malformed-input class -- truncated input, garbage field,
+// out-of-range index, non-finite value, trailing field -- for every reader.
+
+TEST(InstanceIo, PackingRejectsMalformedRecords) {
+  const auto read = [](std::istream& in) { read_packing(in); };
+  const std::string head = "psdp packing-dense 1\nsize 1 2\nconstraint 0 1\n";
+  expect_rejected(read, head, "unexpected end of input, expected matrix entry");
+  expect_rejected(read, head + "0 x 1.0\n", "malformed matrix entry");
+  expect_rejected(read, head + "0 1.5 1.0\n", "malformed matrix entry");
+  expect_rejected(read, head + "1 0 1.0\n", "malformed matrix entry");
+  expect_rejected(read, head + "0 0 inf\n", "malformed matrix entry");
+  expect_rejected(read, head + "0 0 1e309\n", "malformed matrix entry");
+  expect_rejected(read, head + "0 0 1.0 7\n", "malformed matrix entry");
+  expect_rejected(read, "psdp packing-dense 1\nsize 1 2\nconstraint 0\n",
+                  "malformed constraint record (index 0)");
+  expect_rejected(read, "psdp packing-dense 1 extra\nsize 1 2\n",
+                  "malformed header record");
+  expect_rejected(read, "psdp packing-dense 1\nsize 1 2 3\n",
+                  "malformed size record");
+}
+
+TEST(InstanceIo, FactorizedRejectsMalformedRecords) {
+  const auto read = [](std::istream& in) { read_factorized(in); };
+  const std::string head =
+      "psdp packing-factorized 1\nsize 1 3\nconstraint 0 2 1\n";
+  expect_rejected(read, head, "unexpected end of input, expected factor entry");
+  expect_rejected(read, "psdp packing-factorized 1\nsize 1 3\n",
+                  "unexpected end of input, expected constraint");
+  expect_rejected(read, head + "0 1 abc\n", "malformed factor entry");
+  expect_rejected(read, head + "3 1 1.0\n", "malformed factor entry");
+  expect_rejected(read, head + "0 2 1.0\n", "malformed factor entry");
+  expect_rejected(read, head + "0 -1 1.0\n", "malformed factor entry");
+  expect_rejected(read, head + "0 1 nan\n", "malformed factor entry");
+  expect_rejected(read, head + "0 1 -inf\n", "malformed factor entry");
+  expect_rejected(read, head + "0 1 1.5e\n", "malformed factor entry");
+  expect_rejected(read, head + "0 1 1.0 # note\n", "malformed factor entry");
+  expect_rejected(read,
+                  "psdp packing-factorized 1\nsize 1 3\nconstraint 0 2\n",
+                  "malformed factorized constraint record (index 0)");
+}
+
+TEST(InstanceIo, CoveringRejectsMalformedRecords) {
+  const auto read = [](std::istream& in) { read_covering(in); };
+  const std::string head = "psdp covering 1\nsize 2 2\nobjective 1\n";
+  const std::string body = "constraint 0 1\n0 0 1\nconstraint 1 1\n1 1 1\n";
+  expect_rejected(read, head, "unexpected end of input, expected objective entry");
+  expect_rejected(read, head + "0 0 1\n",
+                  "unexpected end of input, expected rhs");
+  expect_rejected(read, head + "0 0 1\nrhs 1 2\nconstraint 0 1\n",
+                  "unexpected end of input, expected matrix entry");
+  expect_rejected(read, head + "0 0 ?\nrhs 1 2\n" + body,
+                  "malformed objective entry");
+  expect_rejected(read, head + "0 2 1\nrhs 1 2\n" + body,
+                  "malformed objective entry");
+  expect_rejected(read, head + "0 0 nan\nrhs 1 2\n" + body,
+                  "malformed objective entry");
+  expect_rejected(read, head + "0 0 1\nrhs 1 inf\n" + body,
+                  "malformed rhs record");
+  expect_rejected(read, head + "0 0 1\nrhs 1 nan\n" + body,
+                  "malformed rhs record");
+  expect_rejected(read, head + "0 0 1\nrhs 1\n" + body,
+                  "malformed rhs record");
+  expect_rejected(read, head + "0 0 1\nrhs 1 2 3\n" + body,
+                  "malformed rhs record");
+  expect_rejected(read, head + "0 0 1\nrhs 1 2\nconstraint 0 1\n0 0 1e999\n",
+                  "malformed matrix entry");
+  expect_rejected(read, "psdp covering 1\nsize 2 2\nobjective x\n",
+                  "malformed objective record");
+}
+
+TEST(InstanceIo, LpRejectsMalformedRecords) {
+  const auto read = [](std::istream& in) { read_lp(in); };
+  const std::string head = "psdp packing-lp 1\nsize 2 2\nmatrix 2\n0 0 1.0\n";
+  expect_rejected(read, head, "unexpected end of input, expected lp entry");
+  expect_rejected(read, head + "1 one 1.0\n", "malformed lp entry");
+  expect_rejected(read, head + "1 2 1.0\n", "malformed lp entry");
+  expect_rejected(read, head + "1 1 inf\n", "malformed lp entry");
+  expect_rejected(read, head + "1 1 nan\n", "malformed lp entry");
+  expect_rejected(read, head + "1 1 1.0 1.0\n", "malformed lp entry");
+  expect_rejected(read, "psdp packing-lp 1\nsize 2 2\nmatrix\n",
+                  "malformed matrix record");
+}
+
+TEST(InstanceIo, AcceptsWhatStreamExtractionAccepted) {
+  // A leading '+', leading zeros, bare-point forms, CRLF line ends and an
+  // underflowing value (read as a signed zero) all loaded before the field
+  // reader and still do.
+  std::istringstream in(
+      "psdp packing-lp 1\r\nsize +2 002\r\nmatrix 3\r\n"
+      "+0 +1 +.5\r\n\t1 0 3.\t\r\n1 1 1e-400\r\n");
+  const core::PackingLp lp = read_lp(in);
+  EXPECT_EQ(lp.matrix()(0, 1), 0.5);
+  EXPECT_EQ(lp.matrix()(1, 0), 3.0);
+  EXPECT_EQ(lp.matrix()(1, 1), 0.0);
+  EXPECT_EQ(lp.matrix()(0, 0), 0.0);
 }
 
 TEST(InstanceIo, LpRoundTripsExactly) {

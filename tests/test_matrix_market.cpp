@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "io/matrix_market.hpp"
 #include "test_helpers.hpp"
@@ -201,6 +204,66 @@ TEST(MatrixMarket, RejectsMalformedInput) {
     std::stringstream buffer(
         "%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n");
     EXPECT_THROW(read_matrix_market_sparse(buffer), InvalidArgument);
+  }
+}
+
+/// Expect `read` to raise InvalidArgument on `text` with a message naming
+/// the fault.
+template <typename Reader>
+void expect_rejected(Reader read, const std::string& text,
+                     const std::string& needle) {
+  std::stringstream in(text);
+  try {
+    read(in);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "message was: " << e.what() << "\ninput:\n" << text;
+  }
+}
+
+TEST(MatrixMarket, CoordinateReadersRejectMalformedRecords) {
+  // One case per malformed-input class -- truncated input, garbage field,
+  // out-of-range index, non-finite value, trailing field -- for the in-RAM
+  // sparse, dense and streaming readers.
+  const std::string head =
+      "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
+  const auto sparse = [](std::istream& in) { read_matrix_market_sparse(in); };
+  const auto dense = [](std::istream& in) { read_matrix_market_dense(in); };
+  const auto streaming = [](std::istream& in) {
+    read_matrix_market_sparse_streaming(in);
+  };
+  for (const auto& read :
+       std::vector<std::function<void(std::istream&)>>{sparse, dense,
+                                                       streaming}) {
+    expect_rejected(read, head, "expected 2 entries, got 1");
+    expect_rejected(read, head + "2 x 1.0\n", "malformed entry line '2 x 1.0'");
+    expect_rejected(read, head + "2 2 1,5\n", "malformed entry line");
+    expect_rejected(read, head + "0 1 1.0\n", "index (0,1) out of range");
+    expect_rejected(read, head + "2 3 1.0\n", "index (2,3) out of range");
+    expect_rejected(read, head + "2 2 inf\n", "malformed entry line");
+    expect_rejected(read, head + "2 2 nan\n", "malformed entry line");
+    expect_rejected(read, head + "2 2 1.0 0.0\n", "malformed entry line");
+    expect_rejected(read,
+                    "%%MatrixMarket matrix coordinate real general\n2 2\n",
+                    "malformed size line");
+  }
+}
+
+TEST(MatrixMarket, ArrayReaderRejectsMalformedRecords) {
+  const std::string head =
+      "%%MatrixMarket matrix array real general\n2 1\n1.0\n";
+  const auto dense = [](std::istream& in) { read_matrix_market_dense(in); };
+  const auto sparse = [](std::istream& in) { read_matrix_market_sparse(in); };
+  for (const auto& read :
+       std::vector<std::function<void(std::istream&)>>{dense, sparse}) {
+    expect_rejected(read, head, "truncated array body");
+    expect_rejected(read, head + "x\n", "malformed value line 'x'");
+    expect_rejected(read, head + "inf\n", "malformed value line");
+    expect_rejected(read, head + "-nan\n", "malformed value line");
+    expect_rejected(read, head + "2.0 3.0\n", "malformed value line");
+    expect_rejected(read, "%%MatrixMarket matrix array real general\n2 1 4\n",
+                    "malformed size line");
   }
 }
 

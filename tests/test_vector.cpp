@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
+#include "par/parallel.hpp"
 #include "rand/rng.hpp"
+#include "util/wire.hpp"
 
 namespace psdp::linalg {
 namespace {
@@ -71,7 +75,7 @@ TEST(Vector, FinitenessAndNonnegativity) {
 }
 
 TEST(Vector, LargeParallelReductionMatchesSerial) {
-  // Exercises the parallel_sum path (size above the grain).
+  // Exercises the parallel reduction path (several fixed-length chunks).
   const Index n = 1 << 16;
   rand::Rng rng(3);
   Vector v(n);
@@ -81,6 +85,36 @@ TEST(Vector, LargeParallelReductionMatchesSerial) {
     expect += v[i];
   }
   EXPECT_NEAR(sum(v), expect, 1e-7 * n);
+}
+
+TEST(LinalgReductions, BitwiseAcrossThreadCounts) {
+  // Above the parallel grain the reductions split across the pool; their
+  // fixed-chunk partition must not depend on its width.
+  const Index n = 4096;
+  rand::Rng rng(17);
+  Vector x(n), y(n);
+  for (Index i = 0; i < n; ++i) {
+    x[i] = rng.uniform() - 0.3;
+    y[i] = rng.uniform() - 0.6;
+  }
+  Matrix a(64, 64), b(64, 64);
+  for (Index i = 0; i < 64; ++i) {
+    for (Index j = 0; j < 64; ++j) {
+      a(i, j) = x[i * 64 + j];
+      b(i, j) = y[i * 64 + j];
+    }
+  }
+  const int before = par::num_threads();
+  std::string reference;
+  for (const int threads : {1, 2, 4}) {
+    par::set_num_threads(threads);
+    const std::string got =
+        util::hex_bits(dot(x, y)) + util::hex_bits(sum(x)) +
+        util::hex_bits(norm1(y)) + util::hex_bits(frobenius_dot(a, b));
+    if (reference.empty()) reference = got;
+    EXPECT_EQ(got, reference) << threads << " threads";
+  }
+  par::set_num_threads(before);
 }
 
 TEST(Vector, Equality) {
