@@ -4,15 +4,10 @@
 // std::from_chars. One std::string is reused for every line; no stream is
 // built per line.
 //
-// Number syntax (what `std::istream >>` accepts on the same field, with the
-// same IEEE-754 bits for every value both accept):
-//   integer  [+-]digits                       decimal only; overflow fails
-//   real     [+-](digits[.digits] | .digits)[(e|E)[+-]digits]
-//            a value below the smallest subnormal reads as +-0; a value above
-//            the largest double fails; inf, nan and hex floats fail, and so
-//            does a dangling exponent ("1.5e").
-// A field must be consumed whole: "3.5" is not an integer and "1,5" is not
-// a real.
+// Numbers follow what `std::istream >>` accepts on the same field, with the
+// same IEEE-754 bits (the syntax is spelled out in io/instance_io.hpp). A
+// field must be consumed whole: "3.5" is not an integer and "1,5" is not a
+// real.
 #pragma once
 
 #include <iosfwd>
