@@ -1,7 +1,8 @@
 #include "io/text_fields.hpp"
 
-#include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <istream>
 #include <system_error>
 
@@ -13,43 +14,6 @@ namespace {
 constexpr std::string_view kBlank = " \t\r\n\v\f";
 
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
-
-/// Called on a field std::from_chars matched whole but found out of range:
-/// true when its magnitude is below 1 (so the range error is an underflow),
-/// false when it is above (an overflow). The field is
-/// [-]mantissa[(e|E)[+-]digits] with at least one mantissa digit.
-bool below_one(std::string_view field) {
-  std::size_t p = field[0] == '-' ? 1 : 0;
-  // Decimal exponent of the mantissa's leading significant digit, counted
-  // so that the value is 0.d1d2... x 10^(lead + exponent).
-  long long lead = 0;
-  bool significant = false;
-  bool fraction = false;
-  for (; p < field.size() && field[p] != 'e' && field[p] != 'E'; ++p) {
-    if (field[p] == '.') {
-      fraction = true;
-    } else if (!significant && field[p] == '0') {
-      if (fraction) --lead;
-    } else {
-      significant = true;
-      if (!fraction) ++lead;
-    }
-  }
-  if (!significant) return true;  // a zero mantissa is never an overflow
-  long long exponent = 0;
-  if (p < field.size()) {
-    ++p;
-    const bool negative = field[p] == '-';
-    if (field[p] == '+' || field[p] == '-') ++p;
-    // Saturate far beyond any double's range; the sum below cannot wrap.
-    constexpr long long kCap = 1'000'000'000;
-    for (; p < field.size(); ++p) {
-      exponent = std::min(kCap, exponent * 10 + (field[p] - '0'));
-    }
-    if (negative) exponent = -exponent;
-  }
-  return lead + exponent <= 0;
-}
 
 }  // namespace
 
@@ -99,9 +63,11 @@ bool Fields::real(Real& out) {
   // A dangling exponent ("1.5e") leaves ptr before the 'e'.
   if (ptr != last) return false;
   if (ec == std::errc::result_out_of_range) {
-    // `>>` reads an underflow as a signed zero and fails on an overflow.
-    if (!below_one(field)) return false;
-    value = field[0] == '-' ? -Real{0} : Real{0};
+    // Ask strtod, as `>>` does: an underflow is read as the value strtod
+    // rounds it to (a signed zero), an overflow (HUGE_VAL) fails. The line
+    // is NUL-terminated and strtod stops at the blank after the field.
+    value = std::strtod(field.data(), nullptr);
+    if (std::isinf(value)) return false;
   } else if (ec != std::errc()) {
     return false;
   }

@@ -21,7 +21,9 @@ namespace psdp::io::detail {
 /// Cursor over the whitespace-separated fields of one line. Each reader
 /// takes the next field and returns false -- leaving `out` untouched -- when
 /// the line has no field left or the field is not wholly of that type, so
-/// callers fold the results into their own named PSDP_CHECK.
+/// callers fold the results into their own named PSDP_CHECK. The line must
+/// be NUL-terminated (a std::string or a C string): real() hands an
+/// out-of-range number to std::strtod.
 class Fields {
  public:
   explicit Fields(std::string_view line) : rest_(line) {}

@@ -51,16 +51,6 @@ Matrix& Matrix::reshape(Index rows, Index cols) {
   return *this;
 }
 
-Real& Matrix::operator()(Index i, Index j) {
-  PSDP_ASSERT(i >= 0 && i < rows_ && j >= 0 && j < cols_);
-  return data_[static_cast<std::size_t>(i * cols_ + j)];
-}
-
-Real Matrix::operator()(Index i, Index j) const {
-  PSDP_ASSERT(i >= 0 && i < rows_ && j >= 0 && j < cols_);
-  return data_[static_cast<std::size_t>(i * cols_ + j)];
-}
-
 std::span<Real> Matrix::row(Index i) {
   PSDP_ASSERT(i >= 0 && i < rows_);
   return {data_.data() + i * cols_, static_cast<std::size_t>(cols_)};

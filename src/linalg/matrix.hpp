@@ -33,8 +33,18 @@ class Matrix {
   Index cols() const { return cols_; }
   bool square() const { return rows_ == cols_; }
 
-  Real& operator()(Index i, Index j);
-  Real operator()(Index i, Index j) const;
+  /// Element access, bounds-checked by PSDP_ASSERT. Defined here so the
+  /// element loops of the dense kernels (Jacobi sweeps, gemm) inline it: an
+  /// out-of-line call per element made their speed depend on where the
+  /// linker happened to place this accessor.
+  Real& operator()(Index i, Index j) {
+    PSDP_ASSERT(i >= 0 && i < rows_ && j >= 0 && j < cols_);
+    return data_[static_cast<std::size_t>(i * cols_ + j)];
+  }
+  Real operator()(Index i, Index j) const {
+    PSDP_ASSERT(i >= 0 && i < rows_ && j >= 0 && j < cols_);
+    return data_[static_cast<std::size_t>(i * cols_ + j)];
+  }
 
   Real* data() { return data_.data(); }
   const Real* data() const { return data_.data(); }

@@ -16,16 +16,6 @@ Vector::Vector(std::initializer_list<Real> values) : data_(values) {}
 
 Vector::Vector(std::vector<Real> values) : data_(std::move(values)) {}
 
-Real& Vector::operator[](Index i) {
-  PSDP_ASSERT(i >= 0 && i < size());
-  return data_[static_cast<std::size_t>(i)];
-}
-
-Real Vector::operator[](Index i) const {
-  PSDP_ASSERT(i >= 0 && i < size());
-  return data_[static_cast<std::size_t>(i)];
-}
-
 Vector& Vector::resize(Index n) {
   PSDP_CHECK(n >= 0, "vector size must be non-negative");
   data_.resize(static_cast<std::size_t>(n));

@@ -21,8 +21,16 @@ class Vector {
   Index size() const { return static_cast<Index>(data_.size()); }
   bool empty() const { return data_.empty(); }
 
-  Real& operator[](Index i);
-  Real operator[](Index i) const;
+  /// Element access, bounds-checked by PSDP_ASSERT; inline like
+  /// Matrix::operator().
+  Real& operator[](Index i) {
+    PSDP_ASSERT(i >= 0 && i < size());
+    return data_[static_cast<std::size_t>(i)];
+  }
+  Real operator[](Index i) const {
+    PSDP_ASSERT(i >= 0 && i < size());
+    return data_[static_cast<std::size_t>(i)];
+  }
 
   Real* data() { return data_.data(); }
   const Real* data() const { return data_.data(); }

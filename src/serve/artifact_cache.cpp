@@ -168,6 +168,7 @@ ArtifactCache::Resolved ArtifactCache::get(const std::string& key,
   PSDP_CHECK(build != nullptr, "serve: ArtifactCache::get needs a builder");
   std::shared_ptr<Entry> entry;
   bool inserted = false;
+  std::unique_lock<std::mutex> build_lock;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (Slot& slot : slots_) {
@@ -185,6 +186,12 @@ ArtifactCache::Resolved ArtifactCache::get(const std::string& key,
       insert_slot_locked(entry);
       inserted = true;
       ++stats_.misses;
+      // Take the fresh shell's build lock before any other lane can see
+      // the shell, so the inserting lane is the one that builds it and a
+      // lane finding the shell waits and counts a hit. (Taken after the
+      // cache lock, a finding lane could win the build lock, build, and
+      // both lanes would count a miss.) Nobody else holds this lock yet.
+      build_lock = std::unique_lock<std::mutex>(entry->build_mutex_);
     }
   }
   // Build (or wait for the building lane) outside the cache lock: prepare
@@ -192,7 +199,9 @@ ArtifactCache::Resolved ArtifactCache::get(const std::string& key,
   // behind it.
   bool built_by_us = false;
   {
-    std::lock_guard<std::mutex> build_lock(entry->build_mutex_);
+    if (!build_lock.owns_lock()) {
+      build_lock = std::unique_lock<std::mutex>(entry->build_mutex_);
+    }
     if (!entry->built_) {
       // Either we inserted the shell, or the inserting lane's builder threw
       // and we are the retry.
@@ -212,6 +221,7 @@ ArtifactCache::Resolved ArtifactCache::get(const std::string& key,
         throw;
       }
     }
+    build_lock.unlock();
   }
   const bool hit = !inserted && !built_by_us;
   {

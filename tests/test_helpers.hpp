@@ -1,11 +1,15 @@
-// Shared helpers for the test suite: random PSD matrix construction and
-// matrix comparison assertions.
+// Shared helpers for the test suite: random PSD matrix construction,
+// matrix comparison assertions and malformed-input checks for the readers.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "linalg/matrix.hpp"
 #include "rand/rng.hpp"
+#include "util/common.hpp"
 
 namespace psdp::testing {
 
@@ -48,6 +52,21 @@ inline linalg::Matrix random_psd_rank(Index m, Index r, std::uint64_t seed) {
   a.scale(Real{1} / static_cast<Real>(m));
   a.symmetrize();
   return a;
+}
+
+/// Expect `read` to raise InvalidArgument on `text` with a message naming
+/// the fault.
+template <typename Reader>
+void expect_rejected(Reader read, const std::string& text,
+                     const std::string& needle) {
+  std::istringstream in(text);
+  try {
+    read(in);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "message was: " << e.what() << "\ninput:\n" << text;
+  }
 }
 
 #define EXPECT_MATRIX_NEAR(a, b, tol)                                  \

@@ -109,20 +109,7 @@ TEST(InstanceIo, RejectsNonFiniteValues) {
   EXPECT_THROW(read_packing(in), InvalidArgument);
 }
 
-/// Expect `read` to raise InvalidArgument on `text` with a message naming
-/// the fault.
-template <typename Reader>
-void expect_rejected(Reader read, const std::string& text,
-                     const std::string& needle) {
-  std::istringstream in(text);
-  try {
-    read(in);
-    ADD_FAILURE() << "accepted:\n" << text;
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "message was: " << e.what() << "\ninput:\n" << text;
-  }
-}
+using testing::expect_rejected;
 
 // One case per malformed-input class -- truncated input, garbage field,
 // out-of-range index, non-finite value, trailing field -- for every reader.

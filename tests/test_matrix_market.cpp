@@ -207,20 +207,7 @@ TEST(MatrixMarket, RejectsMalformedInput) {
   }
 }
 
-/// Expect `read` to raise InvalidArgument on `text` with a message naming
-/// the fault.
-template <typename Reader>
-void expect_rejected(Reader read, const std::string& text,
-                     const std::string& needle) {
-  std::stringstream in(text);
-  try {
-    read(in);
-    ADD_FAILURE() << "accepted:\n" << text;
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "message was: " << e.what() << "\ninput:\n" << text;
-  }
-}
+using testing::expect_rejected;
 
 TEST(MatrixMarket, CoordinateReadersRejectMalformedRecords) {
   // One case per malformed-input class -- truncated input, garbage field,
