@@ -1,5 +1,5 @@
 // K1 -- google-benchmark microbenchmarks of the substrate kernels the
-// solver's cost model is built on: GEMM, Jacobi eigendecomposition, matrix
+// solver's cost model is built on: GEMM, symmetric eigendecomposition, matrix
 // exponential, sparse matvec, JL sketching, and truncated-Taylor
 // application. These are the constants behind Corollary 1.2's asymptotics.
 //
@@ -98,14 +98,14 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_JacobiEig(benchmark::State& state) {
+void BM_SymEig(benchmark::State& state) {
   const Index m = state.range(0);
   const linalg::Matrix a = random_sym(m, 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::jacobi_eig(a));
+    benchmark::DoNotOptimize(linalg::sym_eig(a));
   }
 }
-BENCHMARK(BM_JacobiEig)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_SymEig)->Arg(8)->Arg(12)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_ExpmEig(benchmark::State& state) {
   const Index m = state.range(0);
@@ -254,7 +254,7 @@ void BM_DecisionIteration(benchmark::State& state) {
   linalg::Matrix psi(m, m);
   for (Index i = 0; i < n; ++i) psi.add_scaled(inst[i], 0.01);
   for (auto _ : state) {
-    const auto eig = linalg::jacobi_eig(psi);
+    const auto eig = linalg::sym_eig(psi);
     const linalg::Matrix w = linalg::expm_from_eig(eig);
     Real sink = 0;
     for (Index i = 0; i < n; ++i) {

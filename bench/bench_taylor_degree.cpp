@@ -19,7 +19,7 @@ using namespace psdp;
 /// the shared eigenbasis (B_hat commutes with B, so comparing eigenvalues
 /// of both in B's basis is exact).
 Real one_sided_error(const linalg::Matrix& b, Index degree) {
-  const auto eig = linalg::jacobi_eig(b);
+  const auto eig = linalg::sym_eig(b);
   Real worst = 0;
   for (Index i = 0; i < eig.eigenvalues.size(); ++i) {
     const Real lambda = eig.eigenvalues[i];

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   table.print();
 
   // The transmit covariance's effective rank tells how many beams are used.
-  const auto eig = linalg::jacobi_eig(result.y);
+  const auto eig = linalg::sym_eig(result.y);
   Index beams = 0;
   for (Index i = 0; i < gen.antennas; ++i) {
     if (eig.eigenvalues[i] > 1e-6 * eig.eigenvalues[0]) ++beams;

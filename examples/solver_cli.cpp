@@ -49,6 +49,17 @@ void print_kernel_banner() {
   std::cout << ")\n";
 }
 
+/// Full-precision echo of a solve's two bounds: 17 significant digits
+/// round-trip a double exactly, so diffing this line between runs is a
+/// bitwise-objective gate (the CI ooc-smoke job compares shard and thread
+/// counts with it).
+void print_objective_bits(Real first, Real second) {
+  std::ostringstream bits;
+  bits.precision(17);
+  bits << "objective-bits: " << first << " " << second;
+  std::cout << bits.str() << "\n";
+}
+
 int solve_packing_dense(const std::string& path, const core::OptimizeOptions& options) {
   const core::PackingInstance instance = io::load_packing(path);
   std::cout << "Loaded dense packing instance: n = " << instance.size()
@@ -58,6 +69,7 @@ int solve_packing_dense(const std::string& path, const core::OptimizeOptions& op
   std::cout << "OPT in [" << r.lower << ", " << r.upper << "]  ("
             << timer.seconds() << " s, " << r.decision_calls
             << " decision calls)\n";
+  print_objective_bits(r.lower, r.upper);
   const core::DualCheck check = core::check_dual(instance, r.best_x);
   std::cout << "Witness verified: " << std::boolalpha << check.feasible << "\n";
   return check.feasible ? 0 : 1;
@@ -106,15 +118,7 @@ int solve_packing_factorized(const std::string& path,
   const core::PackingOptimum r = core::approx_packing(instance, options);
   std::cout << "OPT in [" << r.lower << ", " << r.upper << "]  ("
             << timer.seconds() << " s)\n";
-  // Full-precision bound echo: 17 significant digits round-trip a double
-  // exactly, so diffing this line between runs is a bitwise-objective gate
-  // (the CI ooc-smoke job compares shards=1 vs shards=4 with it).
-  {
-    std::ostringstream bits;
-    bits.precision(17);
-    bits << "objective-bits: " << r.lower << " " << r.upper;
-    std::cout << bits.str() << "\n";
-  }
+  print_objective_bits(r.lower, r.upper);
   const core::DualCheck check = core::check_dual(instance, r.best_x);
   std::cout << "Witness verified: " << std::boolalpha << check.feasible << "\n";
   return check.feasible ? 0 : 1;
@@ -128,6 +132,7 @@ int solve_covering(const std::string& path, const core::OptimizeOptions& options
   const core::CoveringOptimum r = core::approx_covering(problem, options);
   std::cout << "C . Y = " << r.objective << " (certified OPT >= "
             << r.lower_bound << ", " << timer.seconds() << " s)\n";
+  print_objective_bits(r.objective, r.lower_bound);
   Real worst_slack = std::numeric_limits<Real>::infinity();
   for (Index i = 0; i < problem.size(); ++i) {
     worst_slack = std::min(
@@ -150,6 +155,7 @@ int solve_packing_lp(const std::string& path,
   std::cout << "OPT in [" << r.lower << ", " << r.upper << "]  ("
             << timer.seconds() << " s, " << r.decision_calls
             << " decision calls)\n";
+  print_objective_bits(r.lower, r.upper);
   // Exact feasibility re-check of the witness.
   const linalg::Vector px = linalg::matvec(lp.matrix(), r.best_x);
   bool feasible = true;

@@ -54,7 +54,7 @@ PrimalCheck check_primal(const PackingInstance& instance, const Matrix& y,
     }
   }
   const bool psd = [&] {
-    const auto eig = linalg::jacobi_eig(y);
+    const auto eig = linalg::sym_eig(y);
     return eig.eigenvalues[y.rows() - 1] >= -tol;
   }();
   check.feasible = psd && approx_equal(check.trace, 1, tol) &&

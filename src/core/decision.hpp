@@ -17,7 +17,7 @@
 // and A_i . Y >= 1 (Lemma 3.6).
 //
 // Two implementations share this interface:
-//  * decision_dense       -- exact exp via Jacobi eigendecomposition; the
+//  * decision_dense       -- exact exp via sym_eig (tred2/tql2); the
 //                            reference solver and the iteration-count
 //                            workhorse (per-iteration cost O(m^3 + n m^2)).
 //  * decision_factorized  -- the nearly-linear-work path of Theorem 4.1:

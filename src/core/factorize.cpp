@@ -27,12 +27,10 @@ Matrix factor_one(const Matrix& a, const FactorizeOptions& options,
     return f.l;
   }
   // Eigendecomposition engine: Q = V sqrt(lambda) on the numerical rank.
-  const linalg::EigResult eig = linalg::jacobi_eig(a);
+  const linalg::EigResult eig = linalg::sym_eig(a);
   const Index m = a.rows();
-  const Real lmax = eig.eigenvalues.size() > 0 ? eig.eigenvalues[0] : 0;
   PSDP_NUMERIC_CHECK(
-      eig.eigenvalues.size() == 0 ||
-          eig.eigenvalues[m - 1] >= -1e-10 * std::max<Real>(1, lmax),
+      eig.eigenvalues[m - 1] >= -1e-10 * std::max<Real>(1, eig.eigenvalues[0]),
       "factorize: constraint has a significantly negative eigenvalue");
   // Keep eigenvalues above the relative-trace budget: dropping all
   // eigenvalues below rel_tol * Tr / m keeps the dropped sum below

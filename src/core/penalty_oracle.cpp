@@ -6,7 +6,6 @@
 #include "linalg/eig.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/lanczos.hpp"
-#include "linalg/tridiag_eig.hpp"
 #include "par/parallel.hpp"
 #include "rand/rng.hpp"
 #include "util/log.hpp"

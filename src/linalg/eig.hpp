@@ -1,10 +1,12 @@
-// Symmetric eigendecomposition via the cyclic Jacobi method.
+// Symmetric eigendecomposition via Householder tridiagonalization followed
+// by the implicit-shift QL algorithm (the EISPACK tred2/tql2 pair; Golub &
+// Van Loan 8.3).
 //
-// Jacobi is the right tool here: it is simple, unconditionally convergent
-// for symmetric matrices, accurate to machine precision for the
-// well-conditioned PSD matrices the solver produces, and its rotations are
-// embarrassingly regular. The dense reference solver uses it for exact
-// matrix exponentials and for C^{-1/2} in the Appendix-A normalization.
+// This is the one dense eigensolver of the library: the dense reference
+// solver pays one decomposition per iteration (exact exp(Psi)), and the
+// Appendix-A normalization, the certificates and the factorizer use it for
+// C^{-1/2}, PSD checks and exact lambda_max. Tests cross-validate it
+// against a cyclic-Jacobi reference kept in the test helpers.
 #pragma once
 
 #include <functional>
@@ -22,19 +24,13 @@ struct EigResult {
   Matrix eigenvectors;
 };
 
-/// Options for the Jacobi sweep loop.
-struct JacobiOptions {
-  Index max_sweeps = 64;
-  /// Converged when off(A) <= tol * ||A||_F.
-  Real tol = 1e-14;
-};
+/// Full symmetric eigendecomposition via tred2 + tql2. Throws
+/// InvalidArgument for an empty, non-square, asymmetric or non-finite
+/// matrix, and NumericalError if QL fails to converge (does not happen for
+/// finite symmetric input).
+EigResult sym_eig(const Matrix& a);
 
-/// Full symmetric eigendecomposition. Throws NumericalError if the sweep
-/// limit is exhausted before convergence (does not happen for symmetric
-/// input; the limit guards against NaNs).
-EigResult jacobi_eig(const Matrix& a, const JacobiOptions& options = {});
-
-/// Largest eigenvalue via jacobi_eig (exact, O(m^3); for the iterative
+/// Largest eigenvalue via sym_eig (exact, O(m^3); for the iterative
 /// estimate see power.hpp).
 Real lambda_max_exact(const Matrix& a);
 

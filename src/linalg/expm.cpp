@@ -8,7 +8,7 @@
 namespace psdp::linalg {
 
 Matrix expm_eig(const Matrix& a) {
-  const EigResult eig = jacobi_eig(a);
+  const EigResult eig = sym_eig(a);
   return expm_from_eig(eig);
 }
 

@@ -1,6 +1,6 @@
 // Dense matrix exponential, two independent implementations:
 //
-//  * expm_eig:  exact for symmetric input, via Jacobi eigendecomposition.
+//  * expm_eig:  exact for symmetric input, via the sym_eig decomposition.
 //    This is the reference the solvers' dense path uses (the paper's
 //    "compute exp(Phi)" primitive) and what tests compare against.
 //  * expm_pade: scaling-and-squaring with a [6/6] diagonal Pade

@@ -8,7 +8,7 @@ namespace {
 
 /// Eigendecompose and verify (numerical) positive semidefiniteness.
 EigResult checked_psd_eig(const Matrix& a, Real tol, const char* who) {
-  EigResult eig = jacobi_eig(a);
+  EigResult eig = sym_eig(a);
   const Real lmax = std::max(eig.eigenvalues[0], Real{0});
   const Real floor = -tol * std::max(lmax, Real{1});
   for (Index i = 0; i < eig.eigenvalues.size(); ++i) {

@@ -34,7 +34,7 @@ class Matrix {
   bool square() const { return rows_ == cols_; }
 
   /// Element access, bounds-checked by PSDP_ASSERT. Defined here so the
-  /// element loops of the dense kernels (Jacobi sweeps, gemm) inline it: an
+  /// element loops of the dense kernels (tred2/tql2, gemm) inline it: an
   /// out-of-line call per element made their speed depend on where the
   /// linker happened to place this accessor.
   Real& operator()(Index i, Index j) {

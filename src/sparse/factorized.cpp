@@ -76,7 +76,7 @@ FactorizedPsd FactorizedPsd::rank_one(const Vector& v, Real drop_tol) {
 }
 
 FactorizedPsd FactorizedPsd::from_dense_psd(const Matrix& a, Real tol) {
-  const linalg::EigResult eig = linalg::jacobi_eig(a);
+  const linalg::EigResult eig = linalg::sym_eig(a);
   const Real lmax = std::max(eig.eigenvalues[0], Real{0});
   const Real cutoff = tol * std::max(lmax, Real{1});
   PSDP_CHECK(eig.eigenvalues[eig.eigenvalues.size() - 1] >= -cutoff,

@@ -27,7 +27,7 @@ TEST(Figure1, MatricesMatchTheCaption) {
   EXPECT_EQ(fig1[1](0, 1), 0);
   // A3 rotated: off-diagonal nonzero, eigenvalues 3/4 and 1/8.
   EXPECT_NE(fig1[2](0, 1), 0);
-  const auto eig = linalg::jacobi_eig(fig1[2]);
+  const auto eig = linalg::sym_eig(fig1[2]);
   EXPECT_NEAR(eig.eigenvalues[0], 0.375, 1e-12);
   EXPECT_NEAR(eig.eigenvalues[1], 0.1, 1e-12);
   fig1.validate(true);
@@ -187,7 +187,7 @@ TEST(Graph, CycleGraphLaplacianEigenvalues) {
   const Graph g = cycle_graph(4);
   const Matrix l = laplacian(g);
   // C_4 Laplacian eigenvalues: 0, 2, 2, 4.
-  const auto eig = linalg::jacobi_eig(l);
+  const auto eig = linalg::sym_eig(l);
   EXPECT_NEAR(eig.eigenvalues[0], 4, 1e-10);
   EXPECT_NEAR(eig.eigenvalues[1], 2, 1e-10);
   EXPECT_NEAR(eig.eigenvalues[2], 2, 1e-10);
@@ -205,7 +205,7 @@ TEST(Graph, LaplacianIsSumOfEdgeMatrices) {
 TEST(Graph, RandomConnectedGraphIsConnected) {
   // Connectivity <=> lambda_{n-1}(L) > 0 (second smallest eigenvalue).
   const Graph g = random_connected_graph(8, 2, 1.0, 1.0, 9);
-  const auto eig = linalg::jacobi_eig(laplacian(g));
+  const auto eig = linalg::sym_eig(laplacian(g));
   EXPECT_GT(eig.eigenvalues[6], 1e-9);   // Fiedler value positive
   EXPECT_NEAR(eig.eigenvalues[7], 0, 1e-9);  // one zero eigenvalue
 }

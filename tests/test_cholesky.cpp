@@ -101,7 +101,7 @@ TEST(Cholesky, IsPsdAgreesWithEigenvaluesOnRandomSymmetric) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     Matrix a = random_symmetric(5, 900 + seed);
     a.add_scaled_identity(1.0);  // shift: some become PSD, some stay not
-    const auto eig = jacobi_eig(a);
+    const auto eig = sym_eig(a);
     const bool psd_by_eig = eig.eigenvalues[4] >= -1e-10;
     EXPECT_EQ(is_psd(a, 1e-9), psd_by_eig) << "seed " << seed;
   }

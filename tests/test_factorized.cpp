@@ -138,7 +138,7 @@ TEST(FactorizedPsd, PsdByConstruction) {
   // Whatever sparse Q is used, Q Q^T must be PSD.
   const Csr q = Csr::from_triplets(4, 2, {{0, 0, 1}, {1, 0, -2}, {2, 1, 3}});
   const FactorizedPsd a{q};
-  const auto eig = linalg::jacobi_eig(a.to_dense());
+  const auto eig = linalg::sym_eig(a.to_dense());
   EXPECT_GE(eig.eigenvalues[3], -1e-12);
 }
 

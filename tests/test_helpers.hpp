@@ -1,12 +1,18 @@
-// Shared helpers for the test suite: random PSD matrix construction,
-// matrix comparison assertions and malformed-input checks for the readers.
+// Shared helpers for the test suite: random PSD matrix construction, the
+// cyclic-Jacobi reference eigensolver, matrix comparison assertions and
+// malformed-input checks for the readers.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "linalg/eig.hpp"
 #include "linalg/matrix.hpp"
 #include "rand/rng.hpp"
 #include "util/common.hpp"
@@ -52,6 +58,79 @@ inline linalg::Matrix random_psd_rank(Index m, Index r, std::uint64_t seed) {
   a.scale(Real{1} / static_cast<Real>(m));
   a.symmetrize();
   return a;
+}
+
+/// Cyclic-Jacobi eigendecomposition (Golub & Van Loan 8.5), the
+/// independent reference linalg::sym_eig is cross-validated against. Same
+/// contract: eigenvalues decreasing, eigenvectors as columns, the same
+/// input checks, and NumericalError if 64 sweeps do not converge.
+inline linalg::EigResult reference_jacobi_eig(const linalg::Matrix& input) {
+  PSDP_CHECK(input.square(), "reference_jacobi_eig: matrix must be square");
+  PSDP_CHECK(linalg::is_symmetric(input, 1e-8),
+             "reference_jacobi_eig: matrix must be symmetric");
+  PSDP_CHECK(linalg::all_finite(input),
+             "reference_jacobi_eig: matrix has non-finite entries");
+  const Index n = input.rows();
+  linalg::Matrix a = input;
+  a.symmetrize();
+  linalg::Matrix v = linalg::Matrix::identity(n);
+  // Converged when off(A) <= 1e-14 * max(||A||_F, 1).
+  const Real threshold2 = sq(1e-14 * std::max(linalg::frobenius_norm(a), Real{1}));
+  const auto off_diagonal_norm2 = [&] {
+    Real acc = 0;
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j < n; ++j) {
+        if (i != j) acc += sq(a(i, j));
+      }
+    }
+    return acc;
+  };
+  bool converged = off_diagonal_norm2() <= threshold2;
+  for (int sweep = 0; sweep < 64 && !converged; ++sweep) {
+    for (Index p = 0; p + 1 < n; ++p) {
+      for (Index q = p + 1; q < n; ++q) {
+        const Real apq = a(p, q);
+        if (apq == 0) continue;
+        const Real theta = (a(q, q) - a(p, p)) / (2 * apq);
+        const Real t = (theta >= 0 ? 1.0 : -1.0) /
+                       (std::abs(theta) + std::sqrt(theta * theta + 1));
+        const Real c = 1 / std::sqrt(t * t + 1);
+        const Real s = t * c;
+        for (Index k = 0; k < n; ++k) {
+          const Real akp = a(k, p);
+          const Real akq = a(k, q);
+          a(k, p) = c * akp - s * akq;
+          a(k, q) = s * akp + c * akq;
+        }
+        for (Index k = 0; k < n; ++k) {
+          const Real apk = a(p, k);
+          const Real aqk = a(q, k);
+          a(p, k) = c * apk - s * aqk;
+          a(q, k) = s * apk + c * aqk;
+        }
+        for (Index k = 0; k < n; ++k) {
+          const Real vkp = v(k, p);
+          const Real vkq = v(k, q);
+          v(k, p) = c * vkp - s * vkq;
+          v(k, q) = s * vkp + c * vkq;
+        }
+      }
+    }
+    converged = off_diagonal_norm2() <= threshold2;
+  }
+  PSDP_NUMERIC_CHECK(converged, "reference_jacobi_eig: sweep limit exhausted");
+
+  std::vector<Index> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), Index{0});
+  std::sort(order.begin(), order.end(),
+            [&](Index i, Index j) { return a(i, i) > a(j, j); });
+  linalg::EigResult result{linalg::Vector(n), linalg::Matrix(n, n)};
+  for (Index c = 0; c < n; ++c) {
+    const Index src = order[static_cast<std::size_t>(c)];
+    result.eigenvalues[c] = a(src, src);
+    for (Index r = 0; r < n; ++r) result.eigenvectors(r, c) = v(r, src);
+  }
+  return result;
 }
 
 /// Expect `read` to raise InvalidArgument on `text` with a message naming

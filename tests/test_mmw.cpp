@@ -43,7 +43,7 @@ TEST(MatrixMwu, ProbabilityHasUnitTrace) {
 TEST(MatrixMwu, ProbabilityIsPsd) {
   MatrixMwu game(4, 0.5);
   for (std::uint64_t t = 0; t < 5; ++t) game.play(random_gain(4, 300 + t));
-  const auto eig = linalg::jacobi_eig(game.probability());
+  const auto eig = linalg::sym_eig(game.probability());
   EXPECT_GE(eig.eigenvalues[3], -1e-12);
 }
 

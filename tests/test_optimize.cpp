@@ -180,7 +180,7 @@ TEST(ApproxCovering, BeamformingSolutionIsFeasibleAndBracketed) {
         << "user " << i;
   }
   // Y is PSD.
-  const auto eig = linalg::jacobi_eig(r.y);
+  const auto eig = linalg::sym_eig(r.y);
   EXPECT_GE(eig.eigenvalues[gen.antennas - 1], -1e-8);
   // Objective consistency and the duality sandwich.
   EXPECT_NEAR(r.objective, linalg::frobenius_dot(problem.objective, r.y),
